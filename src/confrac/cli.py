@@ -15,15 +15,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
     DEGENERATE_ERROR_FLOOR,
-    METHODS,
     builtin_problems,
     get_problem,
     refinement_errors,
@@ -38,43 +36,17 @@ EXIT_BLOWUP = 3
 DEFAULT_MARKER_STRIDE = 90
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One fully resolved `solve` invocation."""
-
-    problem_id: str
-    method: str
-    alpha: float
-    step: float
-    horizon: float | None
-    output_path: str
-    format: str = "csv"
-    marker_stride: int = DEFAULT_MARKER_STRIDE
-
-    def __post_init__(self):
-        if self.format not in ("csv", "svg"):
-            raise ValueError(f"format must be csv or svg, got {self.format!r}")
-        if self.marker_stride < 1:
-            raise ValueError(
-                f"marker stride must be >= 1, got {self.marker_stride}"
-            )
-
-
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
 def write_csv(table, path: str) -> None:
-    """Write a (header, rows) table -- or a bare trace -- as CSV.
+    """Write a (header, rows) table as CSV.
 
     Floats are rendered with 17 significant digits; strings pass through
     (empty string for a blank field).  Lines end with a single line feed.
     """
-    if isinstance(table, SolutionTrace):
-        header = ["t", "y_num"]
-        rows: Iterable[Sequence] = zip(table.times(), table.values)
-    else:
-        header, rows = table
+    header, rows = table
     lines = [",".join(header)]
     for row in rows:
         lines.append(
@@ -248,28 +220,40 @@ def write_svg(
 # Subcommand implementations
 
 
-def cmd_list(stream=None) -> int:
+def cmd_list() -> int:
     """Print one line per built-in problem."""
-    stream = sys.stdout if stream is None else stream
     for named in builtin_problems():
         line = f"{named.id:<10} {named.equation:<16} {named.solution}"
         if named.domain_note is not None:
             line = f"{line}   {named.domain_note}"
-        print(line, file=stream)
+        print(line)
     return EXIT_OK
 
 
-def cmd_solve(spec: RunSpec) -> int:
+def cmd_solve(
+    problem_id: str,
+    method: str,
+    alpha: float,
+    h: float,
+    tau: float | None,
+    output_path: str,
+    fmt: str = "csv",
+    marker_stride: int = DEFAULT_MARKER_STRIDE,
+) -> int:
     """Run one solve and write its trace as CSV or SVG."""
-    named = get_problem(spec.problem_id)
-    alpha = as_alpha(spec.alpha)
-    trace = solve_named(named, spec.method, alpha, spec.step, spec.horizon)
-    if spec.format == "svg":
+    if fmt not in ("csv", "svg"):
+        raise ValueError(f"format must be csv or svg, got {fmt!r}")
+    if marker_stride < 1:
+        raise ValueError(f"marker stride must be >= 1, got {marker_stride}")
+    named = get_problem(problem_id)
+    alpha = as_alpha(alpha)
+    trace = solve_named(named, method, alpha, h, tau)
+    if fmt == "svg":
         sampler = None
         if named.exact is not None:
             exact = named.exact
             sampler = lambda t: exact(t, alpha)  # noqa: E731
-        write_svg(trace, sampler, spec.output_path, spec.marker_stride)
+        write_svg(trace, sampler, output_path, marker_stride)
         return EXIT_OK
     if named.exact is not None:
         header = ["t", "y_num", "y_exact", "abs_err"]
@@ -280,7 +264,7 @@ def cmd_solve(spec: RunSpec) -> int:
     else:
         header = ["t", "y_num"]
         rows = [(float(t), float(y)) for t, y in zip(trace.times(), trace.values)]
-    write_csv((header, rows), spec.output_path)
+    write_csv((header, rows), output_path)
     return EXIT_OK
 
 
@@ -445,21 +429,19 @@ def _run_solve(args: argparse.Namespace) -> int:
          "marker_stride"),
     )
     tau = merged.get("tau")
-    fmt = merged.get("format") or "csv"
     stride = merged.get("marker_stride")
-    spec = RunSpec(
+    return cmd_solve(
         problem_id=_require(merged, "problem"),
         method=_require(merged, "method"),
         alpha=_to_float("alpha", _require(merged, "alpha")),
-        step=_to_float("h", _require(merged, "h")),
-        horizon=None if tau is None else _to_float("tau", tau),
+        h=_to_float("h", _require(merged, "h")),
+        tau=None if tau is None else _to_float("tau", tau),
         output_path=_require(merged, "output"),
-        format=fmt,
+        fmt=merged.get("format") or "csv",
         marker_stride=DEFAULT_MARKER_STRIDE
         if stride is None
         else _to_int("marker-stride", stride),
     )
-    return cmd_solve(spec)
 
 
 def _run_convergence(args: argparse.Namespace) -> int:

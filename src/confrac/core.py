@@ -24,6 +24,9 @@ ScalarFunction = Callable[[float], float]
 #: relative slack when deciding whether a step size divides the horizon
 GRID_RTOL = 1e-9
 
+#: largest grid make_grid builds; the Caputo solver does O(nodes**2) work
+MAX_NODES = 10**7
+
 
 @dataclass(frozen=True)
 class Alpha:
@@ -87,7 +90,8 @@ def make_grid(tau: float, h: float) -> UniformGrid:
     """Build the uniform grid covering [0, tau] with step h.
 
     Raises :class:`GridError` unless h divides tau to within a relative
-    slack of ``GRID_RTOL`` (an integer panel count must reproduce tau).
+    slack of ``GRID_RTOL`` (an integer panel count must reproduce tau), or
+    when the grid would have more than ``MAX_NODES`` nodes.
     """
     tau = float(tau)
     h = float(h)
@@ -95,7 +99,11 @@ def make_grid(tau: float, h: float) -> UniformGrid:
         raise GridError(f"horizon must be positive, got {tau!r}")
     if not h > 0.0:
         raise GridError(f"step must be positive, got {h!r}")
-    panels = round(tau / h)
+    ratio = tau / h
+    # round() to at most MAX_NODES - 1 panels; also false for inf and NaN
+    if not ratio < MAX_NODES - 0.5:
+        raise GridError(f"step {h!r} gives more than {MAX_NODES} nodes on [0, {tau!r}]")
+    panels = round(ratio)
     if panels < 1 or abs(panels * h - tau) > GRID_RTOL * tau:
         raise GridError(
             f"step {h!r} does not divide horizon {tau!r} into a whole "

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, as_alpha
+from .core import Alpha, AlphaLike, as_alpha, make_grid
 from .errors import DomainError, OrderUndefinedError
 from .solvers import (
     CaputoProblem,
@@ -130,35 +130,29 @@ class NamedProblem:
                 )
         return horizon
 
-    def problem(
-        self, alpha: AlphaLike, horizon: float | None = None
-    ) -> InitialValueProblem:
-        """Concrete conformable problem at the given order and horizon."""
+    def _instance(self, kind, alpha: AlphaLike, horizon: float | None):
         alpha = as_alpha(alpha)
         horizon = self._checked_horizon(alpha, horizon)
         a = alpha.value
         family = self.family
-        return InitialValueProblem(
+        return kind(
             rhs=lambda t, y: family(t, y, a),
             y0=self.y0,
             horizon=horizon,
             order=alpha,
         )
 
+    def problem(
+        self, alpha: AlphaLike, horizon: float | None = None
+    ) -> InitialValueProblem:
+        """Concrete conformable problem at the given order and horizon."""
+        return self._instance(InitialValueProblem, alpha, horizon)
+
     def caputo_problem(
         self, alpha: AlphaLike, horizon: float | None = None
     ) -> CaputoProblem:
         """Same right-hand side read as a Caputo problem."""
-        alpha = as_alpha(alpha)
-        horizon = self._checked_horizon(alpha, horizon)
-        a = alpha.value
-        family = self.family
-        return CaputoProblem(
-            rhs=lambda t, y: family(t, y, a),
-            y0=self.y0,
-            horizon=horizon,
-            order=alpha,
-        )
+        return self._instance(CaputoProblem, alpha, horizon)
 
 
 _REGISTRY: tuple[NamedProblem, ...] = (
@@ -287,13 +281,17 @@ def refinement_errors(
     """Endpoint absolute errors at steps h0, h0/2, ..., h0/2**(levels-1).
 
     Returns (h, error) pairs in refinement order.  Halving keeps every
-    refined grid commensurate whenever the first one is.
+    refined grid commensurate whenever the first one is.  The finest grid
+    is built first, so a ladder that ends past ``MAX_NODES`` is rejected
+    before any level is solved.
     """
     if levels < 2:
         raise ValueError(f"refinement needs at least 2 levels, got {levels}")
     if named.exact is None:
         raise ValueError(f"problem {named.id!r} has no exact solution")
     alpha = as_alpha(alpha)
+    # ldexp(h0, -k) is h0 / 2**k, without overflowing 2.0**k for huge k
+    make_grid(named._checked_horizon(alpha, tau), math.ldexp(h0, 1 - levels))
     pairs = []
     for level in range(levels):
         h = h0 / 2.0**level

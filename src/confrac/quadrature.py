@@ -12,11 +12,13 @@ smooth factor:
 
 Coefficients only depend on their own index, never on the grid length,
 which is what lets the solvers in :mod:`confrac.solvers` update running
-sums instead of re-summing history.
+sums instead of re-summing history.  :func:`coefficient_tables` builds all
+three sequences once per solve; the scalar functions evaluate single
+entries with the same arithmetic, so both agree bit for bit.
 
 Large indices need care: the naive second difference subtracts three
 nearly equal numbers of size ``j**(a + 1)`` and loses roughly ``j**2``
-units in the last place.  Past ``_SERIES_CUTOFF`` the differences are
+units in the last place.  From ``_SERIES_CUTOFF`` on the differences are
 evaluated with binomial series in ``1/j`` whose terms are all positive,
 so no cancellation occurs anywhere.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +35,7 @@ import numpy as np
 from .core import Alpha, AlphaLike, as_alpha
 from .errors import DomainError
 
-#: index above which coefficients switch to the cancellation-free series
+#: index from which coefficients switch to the cancellation-free series
 _SERIES_CUTOFF = 128
 
 #: hard bound on series length; terms shrink by >= _SERIES_CUTOFF**-2 per
@@ -46,6 +49,46 @@ def gamma(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"gamma requires x > 0, got {x!r}")
     return math.gamma(x)
+
+
+def _binomial_series(beta: float, power, factor, ratios):
+    """Sum of ``b_k * power * factor**k`` with ``b_0 = C(beta, 2)`` and ratios
+    ``b_(k+1) / b_k`` taken from ``ratios``.
+
+    ``power`` and ``factor`` are floats or arrays.  Terms are positive and
+    shrinking, so the loop stops once a term changes no element, and each
+    element gets exactly the sum a loop over that element alone would.
+    """
+    binom = beta * (beta - 1.0) / 2.0  # C(beta, 2)
+    total = binom * power
+    for ratio in ratios:
+        binom *= ratio
+        power = power * factor
+        grown = total + binom * power
+        same = grown == total
+        if same.all() if isinstance(same, np.ndarray) else same:
+            break
+        total = grown
+    return total
+
+
+def _interior_series(u, beta: float):
+    """``((1-u)**beta + (1+u)**beta - 2) / 2`` as ``sum_{k>=1} C(beta, 2k) u**(2k)``.
+
+    Odd powers cancel; every term is positive for beta in (1, 2).
+    """
+    ratios = ((beta - 2 * k) * (beta - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
+              for k in range(1, _SERIES_MAX_TERMS))
+    return _binomial_series(beta, u * u, u * u, ratios)
+
+
+def _tail_series(u, beta: float):
+    """``(1 - u)**beta - 1 + beta*u`` as ``sum_{k>=2} C(beta, k) (-u)**k``.
+
+    The binomials' signs alternate against ``(-u)**k`` for beta in (1, 2).
+    """
+    ratios = ((beta - k) / (k + 1.0) for k in range(2, _SERIES_MAX_TERMS))
+    return _binomial_series(beta, u * u, -u, ratios)
 
 
 def rectangle_coefficient(j: int, alpha: AlphaLike) -> float:
@@ -69,10 +112,14 @@ def trapezoid_coefficient(j: int, alpha: AlphaLike) -> float:
     """
     if j < 0:
         raise ValueError(f"coefficient index must be non-negative, got {j}")
-    a = as_alpha(alpha).value
+    beta = as_alpha(alpha).value + 1.0
     if j == 0:
         return 1.0
-    return _second_difference(j, a + 1.0)
+    if j < _SERIES_CUTOFF or beta == 2.0:
+        # exact in integer arithmetic when beta == 2; safe below the
+        # cutoff where at most ~j**2 ulps cancel
+        return (j - 1.0) ** beta - 2.0 * float(j) ** beta + (j + 1.0) ** beta
+    return 2.0 * float(j) ** beta * _interior_series(1.0 / j, beta)
 
 
 def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
@@ -80,8 +127,7 @@ def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
 
     Equals ``(a+1)*(n+1)**a + n**(a+1) - (n+1)**(a+1)``; for n = 0 this
     reduces to a.  The same quantity is the weight the reflected-kernel
-    (Caputo) trapezoid rule assigns to its first node, so the Caputo
-    solver reuses this function.
+    (Caputo) trapezoid rule assigns to its first node.
     """
     if n < 0:
         raise ValueError(f"panel index must be non-negative, got {n}")
@@ -91,49 +137,39 @@ def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
     if n + 1 < _SERIES_CUTOFF or a == 1.0:
         # exact in integer arithmetic when a == 1 (beta == 2), any n
         return beta * m**a + float(n) ** beta - m**beta
-    # m**beta * ((1 - u)**beta - 1 + beta*u) with u = 1/m, expanded as
-    # sum_{k>=2} C(beta, k) (-u)**k; for beta in (1, 2) the signs of the
-    # binomials alternate against (-u)**k, so every term is positive.
-    u = 1.0 / m
-    binom = beta * (beta - 1.0) / 2.0  # C(beta, 2)
-    power = u * u
-    total = binom * power
-    k = 2
-    while k < _SERIES_MAX_TERMS:
-        binom *= (beta - k) / (k + 1.0)
-        power *= -u
-        term = binom * power
-        if total + term == total:
-            break
-        total += term
-        k += 1
-    return m**beta * total
+    return m**beta * _tail_series(1.0 / m, beta)
 
 
-def _second_difference(j: int, beta: float) -> float:
-    """``(j-1)**beta - 2*j**beta + (j+1)**beta`` for j >= 1, beta in (1, 2]."""
-    if j < _SERIES_CUTOFF or beta == 2.0:
-        # exact in integer arithmetic when beta == 2; safe below the
-        # cutoff where at most ~j**2 ulps cancel
-        return (j - 1.0) ** beta - 2.0 * float(j) ** beta + (j + 1.0) ** beta
-    # j**beta * ((1-u)**beta + (1+u)**beta - 2) with u = 1/j; odd powers
-    # cancel, leaving 2 * sum_{k>=1} C(beta, 2k) u**(2k), all terms
-    # positive for beta in (1, 2).
-    u = 1.0 / j
-    u2 = u * u
-    binom = beta * (beta - 1.0) / 2.0  # C(beta, 2)
-    power = u2
-    total = binom * power
-    k = 1
-    while k < _SERIES_MAX_TERMS:
-        binom *= (beta - 2 * k) * (beta - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
-        power *= u2
-        term = binom * power
-        if total + term == total:
-            break
-        total += term
-        k += 1
-    return 2.0 * float(j) ** beta * total
+def coefficient_tables(
+    n: int, alpha: AlphaLike
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rectangle, trapezoid and closing coefficients for indices 0 .. n.
+
+    Entry j of the three arrays equals ``rectangle_coefficient(j, alpha)``,
+    ``trapezoid_coefficient(j, alpha)`` and
+    ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.
+    """
+    if n < 0:
+        raise ValueError(f"panel index must be non-negative, got {n}")
+    a = as_alpha(alpha).value
+    beta = a + 1.0
+    # Python's pow, which the scalar functions use: numpy's vectorised
+    # power may differ from it in the last place
+    p = np.fromiter(map(pow, range(n + 2), repeat(a)), float, n + 2)
+    q = np.fromiter(map(pow, range(n + 2), repeat(beta)), float, n + 2)
+    rect = p[1:] - p[:-1]
+    trap = np.empty(n + 1)
+    trap[0] = 1.0
+    trap[1:] = q[:-2] - 2.0 * q[1:-1] + q[2:]
+    tail = beta * p[1:] + q[:-1] - q[1:]
+    cut = _SERIES_CUTOFF
+    if beta != 2.0 and n >= cut:
+        j = np.arange(cut, n + 1, dtype=float)
+        trap[cut:] = 2.0 * q[cut:-1] * _interior_series(1.0 / j, beta)
+    if a != 1.0 and n + 1 >= cut:
+        m = np.arange(cut, n + 2, dtype=float)
+        tail[cut - 1:] = q[cut:] * _tail_series(1.0 / m, beta)
+    return rect, trap, tail
 
 
 @dataclass(frozen=True)
@@ -168,22 +204,16 @@ class QuadratureWeights:
 
 def rectangle_weights(n: int, alpha: AlphaLike) -> QuadratureWeights:
     """Rectangle-rule coefficients for nodes 0 .. n (n + 1 of them)."""
-    if n < 0:
-        raise ValueError(f"panel index must be non-negative, got {n}")
     alpha = as_alpha(alpha)
-    coeffs = np.array([rectangle_coefficient(j, alpha) for j in range(n + 1)])
-    return QuadratureWeights(alpha=alpha, coefficients=coeffs, rule="rectangle")
+    rect, _, _ = coefficient_tables(n, alpha)
+    return QuadratureWeights(alpha=alpha, coefficients=rect, rule="rectangle")
 
 
 def trapezoid_weights(n: int, alpha: AlphaLike) -> QuadratureWeights:
     """Trapezoid-rule coefficients for nodes 0 .. n + 1 (n + 2 of them)."""
-    if n < 0:
-        raise ValueError(f"panel index must be non-negative, got {n}")
     alpha = as_alpha(alpha)
-    coeffs = np.empty(n + 2)
-    for j in range(n + 1):
-        coeffs[j] = trapezoid_coefficient(j, alpha)
-    coeffs[n + 1] = trapezoid_tail_coefficient(n, alpha)
+    _, trap, tail = coefficient_tables(n, alpha)
+    coeffs = np.append(trap, tail[n])
     return QuadratureWeights(alpha=alpha, coefficients=coeffs, rule="trapezoid")
 
 
@@ -192,6 +222,19 @@ def _checked_samples(samples: Sequence[float], expected: str) -> np.ndarray:
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"samples must form a non-empty 1-d sequence ({expected})")
     return arr
+
+
+def _weighted_sum(
+    arr: np.ndarray, h: float, weights: QuadratureWeights, rule: str
+) -> float:
+    if weights.rule != rule:
+        raise ValueError(f"expected {rule} weights, got {weights.rule!r}")
+    if weights.count != arr.size:
+        raise ValueError(
+            f"weight/sample length mismatch: {weights.count} coefficients "
+            f"for {arr.size} samples"
+        )
+    return weights.scale(float(h)) * float(np.dot(weights.coefficients, arr))
 
 
 def integrate_rectangle(
@@ -209,14 +252,7 @@ def integrate_rectangle(
     arr = _checked_samples(samples, "one per node")
     if weights is None:
         weights = rectangle_weights(arr.size - 1, alpha)
-    elif weights.rule != "rectangle":
-        raise ValueError(f"expected rectangle weights, got {weights.rule!r}")
-    if weights.count != arr.size:
-        raise ValueError(
-            f"weight/sample length mismatch: {weights.count} coefficients "
-            f"for {arr.size} samples"
-        )
-    return weights.scale(float(h)) * float(np.dot(weights.coefficients, arr))
+    return _weighted_sum(arr, h, weights, "rectangle")
 
 
 def integrate_trapezoid(
@@ -234,11 +270,4 @@ def integrate_trapezoid(
         raise ValueError("trapezoid rule needs at least two samples")
     if weights is None:
         weights = trapezoid_weights(arr.size - 2, alpha)
-    elif weights.rule != "trapezoid":
-        raise ValueError(f"expected trapezoid weights, got {weights.rule!r}")
-    if weights.count != arr.size:
-        raise ValueError(
-            f"weight/sample length mismatch: {weights.count} coefficients "
-            f"for {arr.size} samples"
-        )
-    return weights.scale(float(h)) * float(np.dot(weights.coefficients, arr))
+    return _weighted_sum(arr, h, weights, "trapezoid")

@@ -26,9 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, UniformGrid, as_alpha, make_grid
+from .core import Alpha, AlphaLike, UniformGrid, make_grid
 from .errors import BlowUpError, DomainError
 from .quadrature import (
+    coefficient_tables,
     gamma,
     rectangle_coefficient,
     trapezoid_coefficient,
@@ -63,23 +64,12 @@ class InitialValueProblem:
 
 
 @dataclass(frozen=True)
-class CaputoProblem:
+class CaputoProblem(InitialValueProblem):
     """``D_a y = rhs(t, y)`` (Caputo) on [0, horizon] with ``y(0) = y0``.
 
     Restricted to order in (0, 1], where the single initial value fixes
-    the solution's Taylor head.
+    the solution's Taylor head.  Fields and validation are inherited.
     """
-
-    rhs: RightHandSide
-    y0: float
-    horizon: float
-    order: Alpha
-
-    def __post_init__(self):
-        if not math.isfinite(self.y0):
-            raise DomainError(f"initial value must be finite, got {self.y0!r}")
-        if not self.horizon > 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon!r}")
 
 
 @dataclass(frozen=True)
@@ -188,14 +178,18 @@ class ConformablePcState:
     step_index: int
 
 
+def _product_scales(a: float, h: float) -> tuple[float, float]:
+    """Rectangle scale ``h**a / a`` and trapezoid scale ``h**a / (a * (a + 1))``."""
+    cte1 = h**a / a
+    return cte1, cte1 / (a + 1.0)
+
+
 def initial_conformable_state(
     problem: InitialValueProblem,
     grid: UniformGrid,
 ) -> ConformablePcState:
     """State after absorbing the initial node only."""
-    a = problem.order.value
-    cte1 = grid.step**a / a
-    cte2 = cte1 / (a + 1.0)
+    cte1, cte2 = _product_scales(problem.order.value, grid.step)
     f0 = problem.rhs(0.0, problem.y0)
     # rectangle and trapezoid coefficients at index 0 are both 1
     return ConformablePcState(
@@ -203,6 +197,21 @@ def initial_conformable_state(
         corrector_history=problem.y0 + cte2 * f0,
         step_index=0,
     )
+
+
+def _conformable_advance(sums, rhs, t_next, step_index, iterations, weights):
+    """One step with scaled weights; returns (sums, corrected, predicted)."""
+    accumulator, history = sums
+    rect_weight, trap_weight, tail_weight = weights
+    predicted = _guard(step_index, accumulator)
+    corrected = predicted
+    for _ in range(iterations):
+        corrected = _guard(
+            step_index, history + tail_weight * rhs(t_next, corrected)
+        )
+    f_next = rhs(t_next, corrected)
+    sums = (accumulator + rect_weight * f_next, history + trap_weight * f_next)
+    return sums, corrected, predicted
 
 
 def conformable_step(
@@ -230,27 +239,17 @@ def conformable_step(
             f"(last node is {grid.node_count - 1})"
         )
     iterations = _checked_iterations(corrector_iterations)
-    a = problem.order.value
-    cte1 = grid.step**a / a
-    cte2 = cte1 / (a + 1.0)
-    t_next = grid.node(step_index)
-    tail = trapezoid_tail_coefficient(step_index - 1, a)
-    predicted = _guard(step_index, state.predictor_accumulator)
-    corrected = predicted
-    for _ in range(iterations):
-        corrected = _guard(
-            step_index,
-            state.corrector_history + cte2 * tail * problem.rhs(t_next, corrected),
-        )
-    f_next = problem.rhs(t_next, corrected)
-    new_state = ConformablePcState(
-        predictor_accumulator=state.predictor_accumulator
-        + cte1 * rectangle_coefficient(step_index, a) * f_next,
-        corrector_history=state.corrector_history
-        + cte2 * trapezoid_coefficient(step_index, a) * f_next,
-        step_index=step_index,
+    cte1, cte2 = _product_scales(problem.order.value, grid.step)
+    weights = (
+        cte1 * rectangle_coefficient(step_index, problem.order),
+        cte2 * trapezoid_coefficient(step_index, problem.order),
+        cte2 * trapezoid_tail_coefficient(step_index - 1, problem.order),
     )
-    return new_state, corrected, predicted
+    sums, corrected, predicted = _conformable_advance(
+        (state.predictor_accumulator, state.corrector_history),
+        problem.rhs, grid.node(step_index), step_index, iterations, weights,
+    )
+    return ConformablePcState(*sums, step_index), corrected, predicted
 
 
 def solve_conformable_pc(
@@ -259,17 +258,23 @@ def solve_conformable_pc(
     corrector_iterations: int = 1,
 ) -> SolutionTrace:
     """Product rectangle/trapezoid predictor-corrector run, O(1) per step."""
+    iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
+    cte1, cte2 = _product_scales(problem.order.value, grid.step)
+    rect, trap, tail = coefficient_tables(grid.panel_count, problem.order)
+    # step j takes rectangle and trapezoid entry j and closing entry j - 1
+    weights = zip((cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
+                  (cte2 * tail).tolist())
+    rhs, step_size = problem.rhs, grid.step
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
     values[0] = problem.y0
     state = initial_conformable_state(problem, grid)
-    for step in range(1, grid.node_count):
-        state, corrected, predicted = conformable_step(
-            state, problem, grid, step, corrector_iterations
+    sums = (state.predictor_accumulator, state.corrector_history)
+    for step, step_weights in enumerate(weights, start=1):
+        sums, values[step], predictors[step - 1] = _conformable_advance(
+            sums, rhs, step * step_size, step, iterations, step_weights
         )
-        values[step] = corrected
-        predictors[step - 1] = predicted
     return SolutionTrace(grid=grid, values=values, predictors=predictors,
                          method="conformable")
 
@@ -287,13 +292,10 @@ def solve_conformable_pc_direct(
     """
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
-    a = problem.order.value
-    cte1 = grid.step**a / a
-    cte2 = cte1 / (a + 1.0)
+    cte1, cte2 = _product_scales(problem.order.value, grid.step)
     rhs = problem.rhs
     panels = grid.panel_count
-    w = np.array([rectangle_coefficient(j, a) for j in range(panels)])
-    c = np.array([trapezoid_coefficient(j, a) for j in range(panels)])
+    rect, trap, tail = coefficient_tables(panels, problem.order)
     slopes = np.empty(panels)
     slopes[0] = rhs(0.0, problem.y0)
     values = np.empty(grid.node_count)
@@ -303,28 +305,19 @@ def solve_conformable_pc_direct(
         t_next = grid.node(step)
         hist = slopes[:step]
         predicted = _guard(
-            step, problem.y0 + cte1 * float(np.dot(w[:step], hist))
+            step, problem.y0 + cte1 * float(np.dot(rect[:step], hist))
         )
-        partial = problem.y0 + cte2 * float(np.dot(c[:step], hist))
-        tail = cte2 * trapezoid_tail_coefficient(step - 1, a)
+        partial = problem.y0 + cte2 * float(np.dot(trap[:step], hist))
+        closing = cte2 * float(tail[step - 1])
         corrected = predicted
         for _ in range(iterations):
-            corrected = _guard(step, partial + tail * rhs(t_next, corrected))
+            corrected = _guard(step, partial + closing * rhs(t_next, corrected))
         values[step] = corrected
         predictors[step - 1] = predicted
         if step < panels:
             slopes[step] = rhs(t_next, corrected)
     return SolutionTrace(grid=grid, values=values, predictors=predictors,
                          method="conformable")
-
-
-def _caputo_kernels(panels: int, a: float) -> tuple[np.ndarray, np.ndarray]:
-    # k**a and k**(a+1) tables shared by every step's reversed-weight dot
-    p = np.arange(panels + 1, dtype=float) ** a
-    q = np.arange(panels + 2, dtype=float) ** (a + 1.0)
-    predictor_kernel = p[1:] - p[:-1]  # (k+1)**a - k**a, k = 0 .. n
-    interior_kernel = q[:-2] - 2.0 * q[1:-1] + q[2:]  # second differences
-    return predictor_kernel, interior_kernel
 
 
 def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
@@ -336,17 +329,9 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
     the closing weight on the slope at the predicted value.  At order 1
     these collapse to the cumulative left-rectangle and trapezoid weights.
     """
-    if n < 0:
-        raise ValueError(f"panel index must be non-negative, got {n}")
-    a = as_alpha(alpha).value
-    predictor_kernel, interior_kernel = _caputo_kernels(n + 1, a)
-    predictor = predictor_kernel[: n + 1][::-1].copy()
-    corrector = np.empty(n + 2)
-    corrector[0] = trapezoid_tail_coefficient(n, a)
-    if n >= 1:
-        corrector[1 : n + 1] = interior_kernel[:n][::-1]
-    corrector[n + 1] = 1.0
-    return predictor, corrector
+    rect, trap, tail = coefficient_tables(n, alpha)
+    # the conformable coefficients read backwards, the closing one first
+    return rect[::-1].copy(), np.concatenate(([tail[n]], trap[::-1]))
 
 
 def solve_caputo_pc(
@@ -357,15 +342,15 @@ def solve_caputo_pc(
     """Adams-Bashforth-Moulton run for a Caputo problem of order in (0, 1].
 
     Fractional rectangle predictor, fractional trapezoid corrector; the
-    per-step weighted sums are evaluated as vector products against
-    precomputed power tables.
+    per-step weighted sums are dot products against reversed slices of the
+    coefficient tables, the same weights :func:`caputo_weights` returns.
     """
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
     a = problem.order.value
     rhs = problem.rhs
     panels = grid.panel_count
-    predictor_kernel, interior_kernel = _caputo_kernels(panels, a)
+    rect, trap, tail = coefficient_tables(panels, problem.order)
     predictor_scale = h**a / gamma(a + 1.0)
     corrector_scale = h**a / gamma(a + 2.0)
     slopes = np.empty(panels)
@@ -376,16 +361,12 @@ def solve_caputo_pc(
     for step in range(1, grid.node_count):
         n = step - 1
         t_next = grid.node(step)
-        hist = slopes[:step]
         predicted = _guard(
             step,
             problem.y0
-            + predictor_scale * float(np.dot(predictor_kernel[:step][::-1], hist)),
+            + predictor_scale * float(np.dot(rect[n::-1], slopes[:step])),
         )
-        # weight of the oldest slope mirrors the conformable closing weight
-        head = trapezoid_tail_coefficient(n, a) * slopes[0]
-        if n >= 1:
-            head += float(np.dot(interior_kernel[:n][::-1], slopes[1:step]))
+        head = tail[n] * slopes[0] + float(np.dot(trap[n:0:-1], slopes[1:step]))
         corrected = predicted
         for _ in range(iterations):
             corrected = _guard(

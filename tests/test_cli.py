@@ -182,6 +182,16 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         "--alpha", "0.5", "--tau", "2", "--h0", "0.04", "--levels", "1",
         "--output", out,
     ) == 2
+    # more than MAX_NODES nodes: one solve, and a ladder's finest level
+    assert run_cli(
+        "solve", "--problem", "example1", "--method", "conformable",
+        "--alpha", "0.5", "--h", "5e-324", "--tau", "2", "--output", out,
+    ) == 2
+    assert run_cli(
+        "convergence", "--problem", "example1", "--method", "conformable",
+        "--alpha", "0.5", "--tau", "2", "--h0", "0.04", "--levels", "40",
+        "--output", out,
+    ) == 2
     # missing required flag
     assert run_cli(
         "solve", "--problem", "example1", "--method", "conformable",

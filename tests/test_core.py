@@ -53,7 +53,9 @@ def test_make_grid_rejects_non_commensurate_step():
 
 @pytest.mark.parametrize(
     "tau,h",
-    [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5), (0.05, 0.1)],
+    [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.5), (0.05, 0.1),
+     # more than MAX_NODES nodes, including a step whose ratio overflows
+     (1.0, 1e-7), (2.0, 1e-300), (2.0, 5e-324)],
 )
 def test_make_grid_rejects_degenerate_inputs(tau, h):
     with pytest.raises(GridError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import confrac as cf
-from confrac.errors import DomainError, OrderUndefinedError
+from confrac.errors import DomainError, GridError, OrderUndefinedError
 
 
 def test_registry_contents():
@@ -132,6 +132,23 @@ def test_refinement_errors_validation():
     )
     with pytest.raises(ValueError):
         cf.refinement_errors(bare, "conformable", 0.5, 2.0, 0.04, 3)
+
+
+def test_refinement_rejects_oversized_ladder_before_solving():
+    calls = []
+
+    def probe(t, y, a):
+        calls.append(t)
+        return t * y
+
+    named = cf.NamedProblem(
+        id="probe", description="d", equation="e", solution="s", y0=1.0,
+        family=probe, exact=cf.exact_example1,
+    )
+    for levels in (40, 5000):
+        with pytest.raises(GridError):
+            cf.refinement_errors(named, "conformable", 0.5, 2.0, 0.04, levels)
+    assert calls == []
 
 
 def test_empirical_order_of_conformable_scheme():

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import confrac as cf
 from confrac.errors import DomainError
+from confrac.quadrature import coefficient_tables
 
 mp.mp.dps = 50
 
@@ -132,6 +133,30 @@ def test_coefficients_match_extended_precision(a):
         ):
             rel = abs((mp.mpf(ours) - reference) / reference)
             assert rel < 1e-9, (a, j, ours)
+
+
+@pytest.mark.parametrize("a", (0.05, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0))
+def test_coefficient_tables_match_scalar_functions(a):
+    n = 100_001
+    rect, trap, tail = coefficient_tables(n, a)
+    indices = range(n + 1)
+    assert np.array_equal(rect, [cf.rectangle_coefficient(j, a) for j in indices])
+    assert np.array_equal(trap, [cf.trapezoid_coefficient(j, a) for j in indices])
+    assert np.array_equal(
+        tail, [cf.trapezoid_tail_coefficient(j, a) for j in indices]
+    )
+
+
+@pytest.mark.parametrize("a", (0.1, 0.5, 0.9))
+def test_caputo_interior_weights_match_extended_precision(a):
+    # the corrector reads the trapezoid interior coefficients backwards, so
+    # they carry the same cancellation risk at large j
+    n = 100_000
+    _, corrector = cf.caputo_weights(n, a)
+    for j in (200, 1000, 10_000, 100_000):
+        reference = _trap_mp(j, a)
+        rel = abs((mp.mpf(float(corrector[n + 1 - j])) - reference) / reference)
+        assert rel <= 1e-14, (a, j, float(rel))
 
 
 def test_series_path_agrees_with_naive_at_switchover():

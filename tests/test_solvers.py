@@ -88,14 +88,16 @@ def test_conformable_first_step_formula():
 
 def test_conformable_step_composition_matches_solver():
     problem = _ivp(lambda t, y: t * y, 1.0, 1.0, 0.6)
-    grid = cf.make_grid(1.0, 0.125)
-    state = cf.initial_conformable_state(problem, grid)
-    values = [problem.y0]
-    for step in range(1, grid.node_count):
-        state, y, _ = cf.conformable_step(state, problem, grid, step)
-        values.append(y)
-    trace = cf.solve_conformable_pc(problem, 0.125)
-    assert np.array_equal(np.array(values), trace.values)
+    # h = 1/512 takes the steps past index 128, where the series path starts
+    for h in (0.125, 1.0 / 512):
+        grid = cf.make_grid(1.0, h)
+        state = cf.initial_conformable_state(problem, grid)
+        values = [problem.y0]
+        for step in range(1, grid.node_count):
+            state, y, _ = cf.conformable_step(state, problem, grid, step)
+            values.append(y)
+        trace = cf.solve_conformable_pc(problem, h)
+        assert np.array_equal(np.array(values), trace.values), h
 
 
 def test_conformable_step_validates_sequence():
