@@ -26,11 +26,24 @@ class DomainError(ConfracError, ValueError):
 class BlowUpError(ConfracError, ArithmeticError):
     """Solver iterate became non-finite or crossed the blow-up bound."""
 
-    def __init__(self, step_index: int, value: float):
+    def __init__(
+        self,
+        step_index: int,
+        value: float,
+        t: float | None = None,
+        last_value: float | None = None,
+    ):
         self.step_index = step_index
         self.value = value
+        #: time of the node being produced, when the solver knows it
+        self.t = t
+        #: last finite accepted value (at node ``step_index - 1``), when known
+        self.last_value = last_value
+        where = "" if t is None else f" (t = {t!r})"
+        last = "" if last_value is None else f", last accepted value {last_value!r}"
         super().__init__(
-            f"solution blew up at step {step_index} (value {value!r})"
+            f"solution blew up at step {step_index}{where}: "
+            f"value {value!r}{last}"
         )
 
 

@@ -22,6 +22,7 @@ from .solvers import (
     CaputoProblem,
     InitialValueProblem,
     SolutionTrace,
+    caputo_grid,
     solve_caputo_pc,
     solve_classical_pc,
     solve_conformable_pc,
@@ -282,8 +283,9 @@ def refinement_errors(
 
     Returns (h, error) pairs in refinement order.  Halving keeps every
     refined grid commensurate whenever the first one is.  The finest grid
-    is built first, so a ladder that ends past ``MAX_NODES`` is rejected
-    before any level is solved.
+    is built first, so a ladder that ends past ``MAX_NODES`` (for the
+    Caputo method, ``CAPUTO_MAX_NODES``) is rejected before any level is
+    solved.
     """
     if levels < 2:
         raise ValueError(f"refinement needs at least 2 levels, got {levels}")
@@ -291,7 +293,8 @@ def refinement_errors(
         raise ValueError(f"problem {named.id!r} has no exact solution")
     alpha = as_alpha(alpha)
     # ldexp(h0, -k) is h0 / 2**k, without overflowing 2.0**k for huge k
-    make_grid(named._checked_horizon(alpha, tau), math.ldexp(h0, 1 - levels))
+    finest_grid = caputo_grid if method == "caputo" else make_grid
+    finest_grid(named._checked_horizon(alpha, tau), math.ldexp(h0, 1 - levels))
     pairs = []
     for level in range(levels):
         h = h0 / 2.0**level

@@ -220,6 +220,23 @@ def test_unwritable_output_path(tmp_path):
     ) == 2
 
 
+def test_caputo_node_ceiling_exit_code(tmp_path, capsys):
+    # inside MAX_NODES, but hours of O(n**2) Caputo work: refused at once
+    out = str(tmp_path / "x.csv")
+    assert run_cli(
+        "solve", "--problem", "example1", "--method", "caputo",
+        "--alpha", "0.5", "--h", "4e-7", "--tau", "2", "--output", out,
+    ) == 2
+    assert "Caputo solver takes at most" in capsys.readouterr().err
+    # finest level 6,553,601 nodes
+    assert run_cli(
+        "convergence", "--problem", "example1", "--method", "caputo",
+        "--alpha", "0.5", "--tau", "2", "--h0", "0.04", "--levels", "18",
+        "--output", out,
+    ) == 2
+    assert "Caputo solver takes at most" in capsys.readouterr().err
+
+
 def test_blow_up_exit_code(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     code = run_cli(

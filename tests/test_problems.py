@@ -148,6 +148,9 @@ def test_refinement_rejects_oversized_ladder_before_solving():
     for levels in (40, 5000):
         with pytest.raises(GridError):
             cf.refinement_errors(named, "conformable", 0.5, 2.0, 0.04, levels)
+    # inside MAX_NODES, past the Caputo ceiling (finest level 6,553,601 nodes)
+    with pytest.raises(GridError, match="Caputo"):
+        cf.refinement_errors(named, "caputo", 0.5, 2.0, 0.04, 18)
     assert calls == []
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import confrac as cf
-from confrac.errors import BlowUpError, DomainError
+from confrac.errors import BlowUpError, DomainError, GridError
 
 
 def _ivp(rhs, y0, horizon, order):
@@ -196,6 +196,61 @@ def test_caputo_weights_head_matches_closing_coefficient():
         cf.caputo_weights(-1, 0.5)
 
 
+def _abm_oracle(problem, h):
+    """The Caputo ABM recursion, re-run from the public weight vectors.
+
+    Weights for node n + 1 are suffixes of ``caputo_weights(panels)``; the
+    corrector's head is the trapezoid closing coefficient at n.
+    """
+    a, rhs, y0 = problem.order.value, problem.rhs, problem.y0
+    panels = round(problem.horizon / h)
+    predictor_w, corrector_w = cf.caputo_weights(panels, a)
+    predictor_scale = h**a / math.gamma(a + 1.0)
+    corrector_scale = h**a / math.gamma(a + 2.0)
+    slopes = np.empty(panels + 1)
+    slopes[0] = rhs(0.0, y0)
+    values, predictors = [y0], []
+    for n in range(panels):
+        t = (n + 1) * h
+        predicted = y0 + predictor_scale * float(
+            np.dot(predictor_w[panels - n:], slopes[:n + 1])
+        )
+        head = cf.trapezoid_tail_coefficient(n, a) * slopes[0] + float(
+            np.dot(corrector_w[panels + 1 - n:panels + 1], slopes[1:n + 1])
+        )
+        corrected = y0 + corrector_scale * (
+            head + corrector_w[-1] * rhs(t, predicted)
+        )
+        slopes[n + 1] = rhs(t, corrected)
+        values.append(corrected)
+        predictors.append(predicted)
+    return np.array(values), np.array(predictors)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
+def test_caputo_solver_matches_weight_vector_oracle(a):
+    # h = 1/400 on [0, 2] runs past index 128, where the series path starts
+    problem = cf.get_problem("example1").caputo_problem(a, 2.0)
+    trace = cf.solve_caputo_pc(problem, 1 / 400)
+    values, predictors = _abm_oracle(problem, 1 / 400)
+    assert np.array_equal(trace.values, values)
+    assert np.array_equal(trace.predictors, predictors)
+
+
+def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("coefficient tables built")
+
+    monkeypatch.setattr(cf.solvers, "coefficient_tables", no_tables)
+    ceiling = cf.solvers.CAPUTO_MAX_NODES
+    assert cf.solvers.caputo_grid(1.0, 1 / (ceiling - 1)).node_count == ceiling
+    with pytest.raises(GridError, match="Caputo"):
+        cf.solvers.caputo_grid(1.0, 1 / ceiling)
+    # 5,000,001 nodes: inside MAX_NODES, hours of Caputo work
+    with pytest.raises(GridError, match="Caputo"):
+        cf.solve_caputo_pc(_caputo(lambda t, y: y, 1.0, 2.0, 0.5), 4e-7)
+
+
 def test_caputo_alpha_one_matches_classical_for_time_only_rhs():
     # with f independent of y both schemes are the cumulative trapezoid rule
     rhs = lambda t, y: math.cos(t)
@@ -213,13 +268,33 @@ def test_blow_up_reports_step_index():
         cf.solve_classical_pc(problem, 0.5)
     assert info.value.step_index == 57
     assert "step 57" in str(info.value)
+    assert info.value.t == 57 * 0.5
 
 
 def test_conformable_blow_up_guard():
     problem = _ivp(lambda t, y: y, 1.0, 40.0, 1.0)
+    for solver in (cf.solve_conformable_pc, cf.solve_conformable_pc_direct):
+        with pytest.raises(BlowUpError) as info:
+            solver(problem, 0.5)
+        exc = info.value
+        assert exc.step_index > 0
+        assert exc.t == exc.step_index * 0.5
+        assert abs(exc.last_value) <= cf.BLOWUP_LIMIT
+
+
+def test_caputo_blow_up_reports_location():
+    # D^0.5 y = y^2, y(0) = 1 blows up in finite time
+    problem = _caputo(lambda t, y: y * y, 1.0, 2.0, 0.5)
     with pytest.raises(BlowUpError) as info:
-        cf.solve_conformable_pc(problem, 0.5)
-    assert info.value.step_index > 0
+        cf.solve_caputo_pc(problem, 0.01)
+    exc = info.value
+    trace = cf.solve_caputo_pc(
+        _caputo(lambda t, y: y * y, 1.0, (exc.step_index - 1) * 0.01, 0.5), 0.01
+    )
+    assert exc.t == exc.step_index * 0.01
+    assert exc.last_value == trace.endpoint
+    assert abs(exc.last_value) <= cf.BLOWUP_LIMIT < abs(exc.value)
+    assert f"blew up at step {exc.step_index} " in str(exc)
 
 
 def test_problem_validation():
