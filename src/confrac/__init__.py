@@ -16,7 +16,6 @@ from .core import (
     as_alpha,
     conformable_derivative_numeric,
     conformable_integral_numeric,
-    make_alpha,
     make_grid,
 )
 from .errors import (
@@ -42,7 +41,6 @@ from .problems import (
     solve_named,
 )
 from .quadrature import (
-    QuadratureWeights,
     gamma,
     integrate_rectangle,
     integrate_trapezoid,
@@ -83,7 +81,6 @@ __all__ = [
     "InitialValueProblem",
     "NamedProblem",
     "OrderUndefinedError",
-    "QuadratureWeights",
     "ScalarFunction",
     "SolutionTrace",
     "UniformGrid",
@@ -104,7 +101,6 @@ __all__ = [
     "initial_conformable_state",
     "integrate_rectangle",
     "integrate_trapezoid",
-    "make_alpha",
     "make_grid",
     "rectangle_coefficient",
     "rectangle_weights",

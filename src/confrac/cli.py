@@ -21,9 +21,10 @@ from typing import Callable, Sequence
 from .core import as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
-    DEGENERATE_ERROR_FLOOR,
     builtin_problems,
     get_problem,
+    halving_orders,
+    method_grid,
     refinement_errors,
     solve_named,
 )
@@ -41,21 +42,26 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(table, path: str) -> None:
-    """Write a (header, rows) table as CSV.
+    """Write a (header, rows) table as CSV, one row at a time.
 
+    ``rows`` may be any iterable, a generator included: each row is
+    formatted and written as it arrives, so no copy of the table is held.
     Floats are rendered with 17 significant digits; strings pass through
     (empty string for a blank field).  Lines end with a single line feed.
+    A row that raises leaves a truncated file behind, so rows must only
+    format values computed beforehand.  The subcommands evaluate their
+    closed forms before calling this: the horizon is checked against the
+    domain limit, but the last node may lie a rounding slack past it, and
+    then the closed form raises before any file is opened.
     """
     header, rows = table
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
-        )
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(
+                    cell if isinstance(cell, str) else _fmt(cell) for cell in row
+                ) + "\n")
     except OSError as exc:
         raise ConfracError(f"cannot write {path!r}: {exc}") from exc
 
@@ -255,15 +261,15 @@ def cmd_solve(
             sampler = lambda t: exact(t, alpha)  # noqa: E731
         write_svg(trace, sampler, output_path, marker_stride)
         return EXIT_OK
+    times, values = trace.times().tolist(), trace.values.tolist()
     if named.exact is not None:
         header = ["t", "y_num", "y_exact", "abs_err"]
-        rows = []
-        for t, y in zip(trace.times(), trace.values):
-            reference = named.exact(float(t), alpha)
-            rows.append((float(t), float(y), reference, abs(float(y) - reference)))
+        references = [named.exact(t, alpha) for t in times]
+        rows = ((t, y, ref, abs(y - ref))
+                for t, y, ref in zip(times, values, references))
     else:
         header = ["t", "y_num"]
-        rows = [(float(t), float(y)) for t, y in zip(trace.times(), trace.values)]
+        rows = zip(times, values)
     write_csv((header, rows), output_path)
     return EXIT_OK
 
@@ -280,17 +286,9 @@ def cmd_convergence(
     """Write the step-halving error table for one problem/method."""
     named = get_problem(problem_id)
     pairs = refinement_errors(named, method, as_alpha(alpha), tau, h0, levels)
-    rows = []
-    previous: float | None = None
-    for h, err in pairs:
-        degenerate = (
-            previous is None
-            or err <= DEGENERATE_ERROR_FLOOR
-            or previous <= DEGENERATE_ERROR_FLOOR
-        )
-        order = "" if degenerate else _fmt(math.log2(previous / err))
-        rows.append((_fmt(h), _fmt(err), order))
-        previous = err
+    orders = [None] + halving_orders([err for _, err in pairs])
+    rows = ((h, err, "" if order is None else order)
+            for (h, err), order in zip(pairs, orders))
     write_csv((["h", "endpoint_abs_error", "estimated_order"], rows), output_path)
     return EXIT_OK
 
@@ -310,18 +308,16 @@ def cmd_compare(
         raise ValueError(f"duplicate method in {','.join(methods)}")
     named = get_problem(problem_id)
     alpha = as_alpha(alpha)
+    for m in methods:
+        method_grid(named, m, alpha, tau, h)
     traces = [solve_named(named, m, alpha, h, tau) for m in methods]
     header = ["t"] + [f"y_{m}" for m in methods]
+    times = traces[0].times().tolist()
+    columns = [times] + [trace.values.tolist() for trace in traces]
     if named.exact is not None:
         header.append("y_exact")
-    rows = []
-    times = traces[0].times()
-    for j, t in enumerate(times):
-        row = [float(t)] + [float(trace.values[j]) for trace in traces]
-        if named.exact is not None:
-            row.append(named.exact(float(t), alpha))
-        rows.append(tuple(row))
-    write_csv((header, rows), output_path)
+        columns.append([named.exact(t, alpha) for t in times])
+    write_csv((header, zip(*columns)), output_path)
     return EXIT_OK
 
 

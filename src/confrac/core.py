@@ -47,11 +47,6 @@ class Alpha:
 AlphaLike = Union[Alpha, float]
 
 
-def make_alpha(value: float) -> Alpha:
-    """Validate ``value`` as a fractional order in (0, 1]."""
-    return Alpha(value)
-
-
 def as_alpha(alpha: AlphaLike) -> Alpha:
     """Coerce a plain float to :class:`Alpha`; instances pass through."""
     return alpha if isinstance(alpha, Alpha) else Alpha(alpha)

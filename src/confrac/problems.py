@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, as_alpha, make_grid
+from .core import Alpha, AlphaLike, UniformGrid, as_alpha, make_grid
 from .errors import DomainError, OrderUndefinedError
 from .solvers import (
     CaputoProblem,
@@ -237,6 +237,28 @@ def solve_named(
     raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
 
 
+def method_grid(
+    named: NamedProblem,
+    method: str,
+    alpha: AlphaLike,
+    horizon: float | None,
+    h: float,
+) -> UniformGrid:
+    """The grid ``solve_named`` would step ``method`` over, built without solving.
+
+    Rejects an unknown method, a horizon at or past the problem's domain
+    limit, and a grid over the method's node ceiling (``MAX_NODES``, or
+    ``CAPUTO_MAX_NODES`` for the Caputo method), so callers can check all
+    of their runs before the first one starts.
+    """
+    if method not in METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; choose from {', '.join(METHODS)}"
+        )
+    grid = caputo_grid if method == "caputo" else make_grid
+    return grid(named._checked_horizon(as_alpha(alpha), horizon), h)
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """Absolute/relative error summary of one trace against an exact solution."""
@@ -283,9 +305,8 @@ def refinement_errors(
 
     Returns (h, error) pairs in refinement order.  Halving keeps every
     refined grid commensurate whenever the first one is.  The finest grid
-    is built first, so a ladder that ends past ``MAX_NODES`` (for the
-    Caputo method, ``CAPUTO_MAX_NODES``) is rejected before any level is
-    solved.
+    is built first (:func:`method_grid`), so a ladder that ends past the
+    method's node ceiling is rejected before any level is solved.
     """
     if levels < 2:
         raise ValueError(f"refinement needs at least 2 levels, got {levels}")
@@ -293,8 +314,7 @@ def refinement_errors(
         raise ValueError(f"problem {named.id!r} has no exact solution")
     alpha = as_alpha(alpha)
     # ldexp(h0, -k) is h0 / 2**k, without overflowing 2.0**k for huge k
-    finest_grid = caputo_grid if method == "caputo" else make_grid
-    finest_grid(named._checked_horizon(alpha, tau), math.ldexp(h0, 1 - levels))
+    method_grid(named, method, alpha, tau, math.ldexp(h0, 1 - levels))
     pairs = []
     for level in range(levels):
         h = h0 / 2.0**level
@@ -303,6 +323,20 @@ def refinement_errors(
         err = abs(trace.endpoint - named.exact(endpoint_t, alpha))
         pairs.append((h, err))
     return pairs
+
+
+def halving_orders(errors: Sequence[float]) -> list[float | None]:
+    """Observed orders ``log2(e_i / e_(i+1))`` between successive errors.
+
+    An entry is ``None`` where either error sits at or below
+    ``DEGENERATE_ERROR_FLOOR``: rounding noise has no order to measure.
+    """
+    return [
+        None
+        if coarse <= DEGENERATE_ERROR_FLOOR or fine <= DEGENERATE_ERROR_FLOOR
+        else math.log2(coarse / fine)
+        for coarse, fine in zip(errors, errors[1:])
+    ]
 
 
 def empirical_order(
@@ -324,9 +358,10 @@ def empirical_order(
         named, method, alpha, tau, h0, levels, corrector_iterations
     )
     errors = [err for _, err in pairs]
-    if any(err <= DEGENERATE_ERROR_FLOOR for err in errors):
+    orders = halving_orders(errors)
+    if None in orders:
         raise OrderUndefinedError(
             f"endpoint errors reached the rounding floor "
             f"({min(errors):.3g}); order is undefined"
         )
-    return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+    return orders

@@ -26,13 +26,12 @@ so no cancellation occurs anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, as_alpha
+from .core import AlphaLike, as_alpha
 from .errors import DomainError
 
 #: index from which coefficients switch to the cancellation-free series
@@ -172,49 +171,28 @@ def coefficient_tables(
     return rect, trap, tail
 
 
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Coefficient sequence plus the h-dependent scale of one product rule."""
+def product_scales(a: float, h: float) -> tuple[float, float]:
+    """Rectangle scale ``h**a / a`` and trapezoid scale ``h**a / (a * (a + 1))``.
 
-    alpha: Alpha
-    coefficients: np.ndarray
-    rule: str  # "rectangle" or "trapezoid"
-
-    def __post_init__(self):
-        if self.rule not in ("rectangle", "trapezoid"):
-            raise ValueError(f"unknown rule {self.rule!r}")
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must form a non-empty 1-d sequence")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def count(self) -> int:
-        return int(self.coefficients.size)
-
-    def scale(self, h: float) -> float:
-        """Common factor multiplying the weighted sample sum for step h."""
-        if not h > 0.0:
-            raise ValueError(f"step must be positive, got {h!r}")
-        a = self.alpha.value
-        if self.rule == "rectangle":
-            return h**a / a
-        return h**a / (a * (a + 1.0))
+    The trapezoid scale is computed as the rectangle scale over ``a + 1``;
+    the solvers' outputs are pinned bit for bit to that rounding.
+    """
+    if not h > 0.0:
+        raise ValueError(f"step must be positive, got {h!r}")
+    rect = h**a / a
+    return rect, rect / (a + 1.0)
 
 
-def rectangle_weights(n: int, alpha: AlphaLike) -> QuadratureWeights:
+def rectangle_weights(n: int, alpha: AlphaLike) -> np.ndarray:
     """Rectangle-rule coefficients for nodes 0 .. n (n + 1 of them)."""
-    alpha = as_alpha(alpha)
     rect, _, _ = coefficient_tables(n, alpha)
-    return QuadratureWeights(alpha=alpha, coefficients=rect, rule="rectangle")
+    return rect
 
 
-def trapezoid_weights(n: int, alpha: AlphaLike) -> QuadratureWeights:
+def trapezoid_weights(n: int, alpha: AlphaLike) -> np.ndarray:
     """Trapezoid-rule coefficients for nodes 0 .. n + 1 (n + 2 of them)."""
-    alpha = as_alpha(alpha)
     _, trap, tail = coefficient_tables(n, alpha)
-    coeffs = np.append(trap, tail[n])
-    return QuadratureWeights(alpha=alpha, coefficients=coeffs, rule="trapezoid")
+    return np.append(trap, tail[n])
 
 
 def _checked_samples(samples: Sequence[float], expected: str) -> np.ndarray:
@@ -224,43 +202,17 @@ def _checked_samples(samples: Sequence[float], expected: str) -> np.ndarray:
     return arr
 
 
-def _weighted_sum(
-    arr: np.ndarray, h: float, weights: QuadratureWeights, rule: str
-) -> float:
-    if weights.rule != rule:
-        raise ValueError(f"expected {rule} weights, got {weights.rule!r}")
-    if weights.count != arr.size:
-        raise ValueError(
-            f"weight/sample length mismatch: {weights.count} coefficients "
-            f"for {arr.size} samples"
-        )
-    return weights.scale(float(h)) * float(np.dot(weights.coefficients, arr))
-
-
-def integrate_rectangle(
-    samples: Sequence[float],
-    h: float,
-    alpha: AlphaLike,
-    weights: QuadratureWeights | None = None,
-) -> float:
+def integrate_rectangle(samples: Sequence[float], h: float, alpha: AlphaLike) -> float:
     """Rectangle-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n.
 
-    ``samples[j]`` is g at node j*h.  A precomputed ``weights`` object may
-    be passed to amortise coefficient generation; its length and rule must
-    match the samples.
+    ``samples[j]`` is g at node j*h.
     """
     arr = _checked_samples(samples, "one per node")
-    if weights is None:
-        weights = rectangle_weights(arr.size - 1, alpha)
-    return _weighted_sum(arr, h, weights, "rectangle")
+    scale, _ = product_scales(as_alpha(alpha).value, float(h))
+    return scale * float(np.dot(rectangle_weights(arr.size - 1, alpha), arr))
 
 
-def integrate_trapezoid(
-    samples: Sequence[float],
-    h: float,
-    alpha: AlphaLike,
-    weights: QuadratureWeights | None = None,
-) -> float:
+def integrate_trapezoid(samples: Sequence[float], h: float, alpha: AlphaLike) -> float:
     """Trapezoid-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n+1.
 
     Needs at least two samples (one panel).  Exact whenever g is linear.
@@ -268,6 +220,5 @@ def integrate_trapezoid(
     arr = _checked_samples(samples, "one per node, at least two")
     if arr.size < 2:
         raise ValueError("trapezoid rule needs at least two samples")
-    if weights is None:
-        weights = trapezoid_weights(arr.size - 2, alpha)
-    return _weighted_sum(arr, h, weights, "trapezoid")
+    _, scale = product_scales(as_alpha(alpha).value, float(h))
+    return scale * float(np.dot(trapezoid_weights(arr.size - 2, alpha), arr))

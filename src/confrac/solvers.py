@@ -31,6 +31,7 @@ from .errors import BlowUpError, DomainError, GridError
 from .quadrature import (
     coefficient_tables,
     gamma,
+    product_scales,
     rectangle_coefficient,
     trapezoid_coefficient,
     trapezoid_tail_coefficient,
@@ -198,18 +199,12 @@ class ConformablePcState:
     step_index: int
 
 
-def _product_scales(a: float, h: float) -> tuple[float, float]:
-    """Rectangle scale ``h**a / a`` and trapezoid scale ``h**a / (a * (a + 1))``."""
-    cte1 = h**a / a
-    return cte1, cte1 / (a + 1.0)
-
-
 def initial_conformable_state(
     problem: InitialValueProblem,
     grid: UniformGrid,
 ) -> ConformablePcState:
     """State after absorbing the initial node only."""
-    cte1, cte2 = _product_scales(problem.order.value, grid.step)
+    cte1, cte2 = product_scales(problem.order.value, grid.step)
     f0 = problem.rhs(0.0, problem.y0)
     # rectangle and trapezoid coefficients at index 0 are both 1
     return ConformablePcState(
@@ -259,7 +254,7 @@ def conformable_step(
             f"(last node is {grid.node_count - 1})"
         )
     iterations = _checked_iterations(corrector_iterations)
-    cte1, cte2 = _product_scales(problem.order.value, grid.step)
+    cte1, cte2 = product_scales(problem.order.value, grid.step)
     weights = (
         cte1 * rectangle_coefficient(step_index, problem.order),
         cte2 * trapezoid_coefficient(step_index, problem.order),
@@ -280,7 +275,7 @@ def solve_conformable_pc(
     """Product rectangle/trapezoid predictor-corrector run, O(1) per step."""
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
-    cte1, cte2 = _product_scales(problem.order.value, grid.step)
+    cte1, cte2 = product_scales(problem.order.value, grid.step)
     rect, trap, tail = coefficient_tables(grid.panel_count, problem.order)
     # step j takes rectangle and trapezoid entry j and closing entry j - 1
     weights = zip((cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
@@ -315,7 +310,7 @@ def solve_conformable_pc_direct(
     """
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
-    cte1, cte2 = _product_scales(problem.order.value, grid.step)
+    cte1, cte2 = product_scales(problem.order.value, grid.step)
     rhs = problem.rhs
     panels = grid.panel_count
     rect, trap, tail = coefficient_tables(panels, problem.order)

@@ -42,10 +42,10 @@ def test_criterion_01_weight_sum_identities():
     worst = 0.0
     for a in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
         for n in (0, 1, 10, 100, 10_000):
-            rect = math.fsum(cf.rectangle_weights(n, a).coefficients)
+            rect = math.fsum(cf.rectangle_weights(n, a))
             want = (n + 1.0) ** a
             worst = max(worst, abs(rect - want) / want)
-            trap = math.fsum(cf.trapezoid_weights(n, a).coefficients)
+            trap = math.fsum(cf.trapezoid_weights(n, a))
             want = (a + 1.0) * (n + 1.0) ** a
             worst = max(worst, abs(trap - want) / want)
     elapsed = time.perf_counter() - start
@@ -61,11 +61,11 @@ def test_criterion_01_weight_sum_identities():
 def test_criterion_02_order_one_weight_reduction():
     ok = True
     for n in range(0, 1001):
-        rect = cf.rectangle_weights(n, 1.0).coefficients
+        rect = cf.rectangle_weights(n, 1.0)
         if not np.array_equal(rect, np.ones(n + 1)):
             ok = False
             break
-        trap = cf.trapezoid_weights(n, 1.0).coefficients
+        trap = cf.trapezoid_weights(n, 1.0)
         expected = np.full(n + 2, 2.0)
         expected[0] = expected[-1] = 1.0
         if not np.array_equal(trap, expected):
@@ -108,7 +108,7 @@ def test_criterion_04_constant_slope_solver_exactness():
     for a in (0.3, 0.7, 1.0):
         problem = cf.InitialValueProblem(
             rhs=lambda t, y: 2.5, y0=1.25, horizon=2.0,
-            order=cf.make_alpha(a),
+            order=cf.Alpha(a),
         )
         trace = cf.solve_conformable_pc(problem, 0.01)
         t = trace.times()

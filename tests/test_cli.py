@@ -237,6 +237,34 @@ def test_caputo_node_ceiling_exit_code(tmp_path, capsys):
     assert "Caputo solver takes at most" in capsys.readouterr().err
 
 
+def test_compare_checks_every_method_before_solving(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("compare solved before checking every method")
+
+    monkeypatch.setattr(cli, "solve_named", no_solve)
+    out = str(tmp_path / "x.csv")
+    base = ("compare", "--problem", "example1", "--alpha", "0.5", "--tau", "2",
+            "--output", out)
+    # the second method's grid is over the Caputo ceiling (5,000,001 nodes)
+    assert run_cli(*base, "--h", "4e-7", "--methods", "conformable,caputo") == 2
+    assert "Caputo solver takes at most" in capsys.readouterr().err
+    assert run_cli(*base, "--h", "0.01", "--methods", "conformable,bogus") == 2
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+
+
+def test_closed_form_failure_leaves_no_partial_csv(tmp_path, capsys):
+    # the horizon sits below example2's asymptote, but the grid's last node
+    # rounds onto it, so the closed form raises at the final row
+    out = tmp_path / "edge.csv"
+    assert run_cli(
+        "solve", "--problem", "example2", "--method", "conformable",
+        "--alpha", "0.5", "--tau", "0.6168502750680848",
+        "--h", "0.0006168502750680849", "--output", str(out),
+    ) == 2
+    assert "asymptote" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_blow_up_exit_code(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     code = run_cli(

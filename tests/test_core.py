@@ -8,7 +8,7 @@ from confrac.errors import AlphaRangeError, DomainError, GridError
 
 @pytest.mark.parametrize("value", [1e-9, 0.3, 0.5, 1.0])
 def test_make_alpha_accepts_valid_orders(value):
-    assert cf.make_alpha(value).value == value
+    assert cf.Alpha(value).value == value
 
 
 @pytest.mark.parametrize(
@@ -16,17 +16,17 @@ def test_make_alpha_accepts_valid_orders(value):
 )
 def test_make_alpha_rejects_out_of_range(bad):
     with pytest.raises(AlphaRangeError):
-        cf.make_alpha(bad)
+        cf.Alpha(bad)
 
 
 def test_as_alpha_passes_instances_through():
-    a = cf.make_alpha(0.5)
+    a = cf.Alpha(0.5)
     assert cf.as_alpha(a) is a
     assert cf.as_alpha(0.25).value == 0.25
 
 
 def test_alpha_is_immutable():
-    a = cf.make_alpha(0.5)
+    a = cf.Alpha(0.5)
     with pytest.raises(Exception):
         a.value = 0.7
 

@@ -5,6 +5,7 @@ import pytest
 
 import confrac as cf
 from confrac.errors import DomainError, GridError, OrderUndefinedError
+from confrac.problems import halving_orders
 
 
 def test_registry_contents():
@@ -151,7 +152,16 @@ def test_refinement_rejects_oversized_ladder_before_solving():
     # inside MAX_NODES, past the Caputo ceiling (finest level 6,553,601 nodes)
     with pytest.raises(GridError, match="Caputo"):
         cf.refinement_errors(named, "caputo", 0.5, 2.0, 0.04, 18)
+    with pytest.raises(ValueError, match="unknown method"):
+        cf.refinement_errors(named, "rk4", 0.5, 2.0, 0.04, 3)
     assert calls == []
+
+
+def test_halving_orders_mark_floor_errors():
+    # an order needs both neighbours above the rounding floor
+    assert halving_orders([0.5, 0.125, 1e-15, 0.03125]) == [2.0, None, None]
+    assert halving_orders([0.5, 0.125, 0.03125]) == [2.0, 2.0]
+    assert halving_orders([0.5]) == []
 
 
 def test_empirical_order_of_conformable_scheme():

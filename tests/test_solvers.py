@@ -9,13 +9,13 @@ from confrac.errors import BlowUpError, DomainError, GridError
 
 def _ivp(rhs, y0, horizon, order):
     return cf.InitialValueProblem(
-        rhs=rhs, y0=y0, horizon=horizon, order=cf.make_alpha(order)
+        rhs=rhs, y0=y0, horizon=horizon, order=cf.Alpha(order)
     )
 
 
 def _caputo(rhs, y0, horizon, order):
     return cf.CaputoProblem(
-        rhs=rhs, y0=y0, horizon=horizon, order=cf.make_alpha(order)
+        rhs=rhs, y0=y0, horizon=horizon, order=cf.Alpha(order)
     )
 
 
