@@ -37,31 +37,32 @@ EXIT_BLOWUP = 3
 DEFAULT_MARKER_STRIDE = 90
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def write_csv(table, path: str) -> None:
     """Write a (header, rows) table as CSV, one row at a time.
 
-    ``rows`` may be any iterable, a generator included: each row is
-    formatted and written as it arrives, so no copy of the table is held.
-    Floats are rendered with 17 significant digits; strings pass through
-    (empty string for a blank field).  Lines end with a single line feed.
-    A row that raises leaves a truncated file behind, so rows must only
-    format values computed beforehand.  The subcommands evaluate their
-    closed forms before calling this: the horizon is checked against the
-    domain limit, but the last node may lie a rounding slack past it, and
-    then the closed form raises before any file is opened.
+    ``rows`` may be any iterable of tuples, a generator included: each row
+    is formatted and written as it arrives, so no copy of the table is
+    held.  One ``%``-template is built per table from the first row:
+    ``%.17g`` (17 significant digits) for a float cell and ``%s`` for a
+    str cell (empty string for a blank field), so every column must hold
+    a single type, all float or all str.  Lines end with a single line
+    feed.  A row that raises leaves a truncated file behind, so rows must
+    only format values computed beforehand; the subcommands evaluate their
+    closed forms before calling this.
     """
     header, rows = table
+    rows = iter(rows)
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    cell if isinstance(cell, str) else _fmt(cell) for cell in row
-                ) + "\n")
+            first = next(rows, None)
+            if first is None:
+                return
+            template = ",".join(
+                "%s" if isinstance(cell, str) else "%.17g" for cell in first
+            ) + "\n"
+            fh.write(template % first)
+            fh.writelines(map(template.__mod__, rows))
     except OSError as exc:
         raise ConfracError(f"cannot write {path!r}: {exc}") from exc
 
@@ -74,6 +75,9 @@ _SVG_W, _SVG_H = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 24, 56
 _CURVE_COLOR = "#1f77b4"
 _MARKER_COLOR = "#d62728"
+#: polyline points formatted per ``.tolist()`` chunk, so no list of every
+#: point's coordinates is held at once
+_POINT_CHUNK = 4096
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -121,8 +125,9 @@ def write_svg(
             marker_points.append((float(times[i]), float(exact(float(times[i])))))
 
     x_lo, x_hi = float(times[0]), float(times[-1])
-    y_all = [float(v) for v in values] + [y for _, y in marker_points]
-    y_lo, y_hi = min(y_all), max(y_all)
+    marker_ys = [y for _, y in marker_points]
+    y_lo = min([float(values.min())] + marker_ys)
+    y_hi = max([float(values.max())] + marker_ys)
     x_pad = 0.05 * (x_hi - x_lo) if x_hi > x_lo else 0.5
     y_pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(0.5, 0.05 * abs(y_hi))
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
@@ -131,10 +136,12 @@ def write_svg(
     plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
     plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # px/py also take float64 arrays: the same IEEE operations in the same
+    # order give the same bits as on Python floats
+    def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _SVG_H - _MARGIN_B - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -180,8 +187,12 @@ def write_svg(
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.2f})">y</text>'
     )
 
+    xs, ys = px(times), py(values)
+    point = "%.2f,%.2f".__mod__
     points = " ".join(
-        f"{px(float(t)):.2f},{py(float(v)):.2f}" for t, v in zip(times, values)
+        " ".join(map(point, zip(xs[i:i + _POINT_CHUNK].tolist(),
+                                ys[i:i + _POINT_CHUNK].tolist())))
+        for i in range(0, len(xs), _POINT_CHUNK)
     )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="{_CURVE_COLOR}" '
@@ -287,7 +298,8 @@ def cmd_convergence(
     named = get_problem(problem_id)
     pairs = refinement_errors(named, method, as_alpha(alpha), tau, h0, levels)
     orders = [None] + halving_orders([err for _, err in pairs])
-    rows = ((h, err, "" if order is None else order)
+    # the order column is all str, so blank cells and numbers share a template
+    rows = ((h, err, "" if order is None else "%.17g" % order)
             for (h, err), order in zip(pairs, orders))
     write_csv((["h", "endpoint_abs_error", "estimated_order"], rows), output_path)
     return EXIT_OK

@@ -220,8 +220,14 @@ def solve_named(
     horizon: float | None = None,
     corrector_iterations: int = 1,
 ) -> SolutionTrace:
-    """Dispatch one solver run on a registry problem."""
+    """Dispatch one solver run on a registry problem.
+
+    The run's grid is checked by :func:`method_grid` first, so a method,
+    horizon, last node or node count it rejects fails before any table is
+    built or step taken.
+    """
     alpha = as_alpha(alpha)
+    method_grid(named, method, alpha, horizon, h)
     if method == "classical":
         return solve_classical_pc(
             named.problem(alpha, horizon), h, corrector_iterations
@@ -230,11 +236,9 @@ def solve_named(
         return solve_conformable_pc(
             named.problem(alpha, horizon), h, corrector_iterations
         )
-    if method == "caputo":
-        return solve_caputo_pc(
-            named.caputo_problem(alpha, horizon), h, corrector_iterations
-        )
-    raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    return solve_caputo_pc(
+        named.caputo_problem(alpha, horizon), h, corrector_iterations
+    )
 
 
 def method_grid(
@@ -246,8 +250,10 @@ def method_grid(
 ) -> UniformGrid:
     """The grid ``solve_named`` would step ``method`` over, built without solving.
 
-    Rejects an unknown method, a horizon at or past the problem's domain
-    limit, and a grid over the method's node ceiling (``MAX_NODES``, or
+    Rejects an unknown method, a horizon or a last grid node at or past
+    the problem's domain limit (``make_grid`` lets the last node
+    ``panel_count * h`` exceed the horizon by a rounding slack), and a
+    grid over the method's node ceiling (``MAX_NODES``, or
     ``CAPUTO_MAX_NODES`` for the Caputo method), so callers can check all
     of their runs before the first one starts.
     """
@@ -255,8 +261,18 @@ def method_grid(
         raise ValueError(
             f"unknown method {method!r}; choose from {', '.join(METHODS)}"
         )
-    grid = caputo_grid if method == "caputo" else make_grid
-    return grid(named._checked_horizon(as_alpha(alpha), horizon), h)
+    alpha = as_alpha(alpha)
+    build = caputo_grid if method == "caputo" else make_grid
+    grid = build(named._checked_horizon(alpha, horizon), h)
+    if named.domain_limit is not None:
+        last = grid.node(grid.panel_count)
+        limit = named.domain_limit(alpha)
+        if last >= limit:
+            raise DomainError(
+                f"last grid node t = {last!r} reaches the domain limit "
+                f"{limit:.6g} of problem {named.id!r}"
+            )
+    return grid
 
 
 @dataclass(frozen=True)

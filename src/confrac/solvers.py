@@ -119,7 +119,8 @@ class SolutionTrace:
 
 
 def _guard(step_index: int, value: float) -> float:
-    if not math.isfinite(value) or abs(value) > BLOWUP_LIMIT:
+    # false for NaN and +-inf as well; the stepping loops inline this test
+    if not -BLOWUP_LIMIT <= value <= BLOWUP_LIMIT:
         raise BlowUpError(step_index, value)
     return value
 
@@ -214,19 +215,31 @@ def initial_conformable_state(
     )
 
 
-def _conformable_advance(sums, rhs, t_next, step_index, iterations, weights):
-    """One step with scaled weights; returns (sums, corrected, predicted)."""
-    accumulator, history = sums
-    rect_weight, trap_weight, tail_weight = weights
-    predicted = _guard(step_index, accumulator)
-    corrected = predicted
-    for _ in range(iterations):
-        corrected = _guard(
-            step_index, history + tail_weight * rhs(t_next, corrected)
-        )
-    f_next = rhs(t_next, corrected)
-    sums = (accumulator + rect_weight * f_next, history + trap_weight * f_next)
-    return sums, corrected, predicted
+def _conformable_run(accumulator, history, rhs, step_size, first_step,
+                     iterations, weights, values, predictors):
+    """Steps ``first_step``, ``first_step + 1``, ... with scaled weight triples.
+
+    ``weights`` yields one ``(rect, trap, tail)`` triple per step.  The k-th
+    step stores its corrected value in ``values[k]`` and its predicted value
+    in ``predictors[k]``; returns the two running sums after the last step.
+    """
+    limit = BLOWUP_LIMIT
+    for k, (rect_weight, trap_weight, tail_weight) in enumerate(weights):
+        step = first_step + k
+        t_next = step * step_size
+        if not -limit <= accumulator <= limit:
+            raise BlowUpError(step, accumulator)
+        corrected = accumulator
+        for _ in range(iterations):
+            corrected = history + tail_weight * rhs(t_next, corrected)
+            if not -limit <= corrected <= limit:
+                raise BlowUpError(step, corrected)
+        f_next = rhs(t_next, corrected)
+        values[k] = corrected
+        predictors[k] = accumulator
+        accumulator += rect_weight * f_next
+        history += trap_weight * f_next
+    return accumulator, history
 
 
 def conformable_step(
@@ -260,11 +273,12 @@ def conformable_step(
         cte2 * trapezoid_coefficient(step_index, problem.order),
         cte2 * trapezoid_tail_coefficient(step_index - 1, problem.order),
     )
-    sums, corrected, predicted = _conformable_advance(
-        (state.predictor_accumulator, state.corrector_history),
-        problem.rhs, grid.node(step_index), step_index, iterations, weights,
+    corrected, predicted = [0.0], [0.0]
+    sums = _conformable_run(
+        state.predictor_accumulator, state.corrector_history, problem.rhs,
+        grid.step, step_index, iterations, (weights,), corrected, predicted,
     )
-    return ConformablePcState(*sums, step_index), corrected, predicted
+    return ConformablePcState(*sums, step_index), corrected[0], predicted[0]
 
 
 def solve_conformable_pc(
@@ -272,7 +286,14 @@ def solve_conformable_pc(
     h: float,
     corrector_iterations: int = 1,
 ) -> SolutionTrace:
-    """Product rectangle/trapezoid predictor-corrector run, O(1) per step."""
+    """Product rectangle/trapezoid predictor-corrector run, O(1) per step.
+
+    The history lives in two running sums held in local floats, and all
+    steps run in one loop with no call per step besides the right-hand
+    side.  The blow-up guard is the inline test
+    ``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` on every iterate, which is also
+    false for NaN and +-inf.
+    """
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
     cte1, cte2 = product_scales(problem.order.value, grid.step)
@@ -280,17 +301,15 @@ def solve_conformable_pc(
     # step j takes rectangle and trapezoid entry j and closing entry j - 1
     weights = zip((cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
                   (cte2 * tail).tolist())
-    rhs, step_size = problem.rhs, grid.step
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
     values[0] = problem.y0
     state = initial_conformable_state(problem, grid)
-    sums = (state.predictor_accumulator, state.corrector_history)
     try:
-        for step, step_weights in enumerate(weights, start=1):
-            sums, values[step], predictors[step - 1] = _conformable_advance(
-                sums, rhs, step * step_size, step, iterations, step_weights
-            )
+        _conformable_run(
+            state.predictor_accumulator, state.corrector_history, problem.rhs,
+            grid.step, 1, iterations, weights, values[1:], predictors,
+        )
     except BlowUpError as exc:
         raise _located(exc, grid, values) from None
     return SolutionTrace(grid=grid, values=values, predictors=predictors,
@@ -381,6 +400,8 @@ def solve_caputo_pc(
     weights are those :func:`caputo_weights` returns.  The rectangle and
     trapezoid tables are reversed once per solve, so each step's weighted
     sum is one dot product of two contiguous slices (no per-step copy).
+    The blow-up guard is the same inline test as in
+    :func:`solve_conformable_pc`.
     """
     iterations = _checked_iterations(corrector_iterations)
     grid = caputo_grid(problem.horizon, h)
@@ -399,23 +420,24 @@ def solve_caputo_pc(
     values = np.empty(grid.node_count)
     predictors = np.empty(panels)
     values[0] = y0
+    limit = BLOWUP_LIMIT
     try:
         for n, closing in enumerate(tail[:panels]):
             step = n + 1
             t_next = step * step_size
-            predicted = _guard(
-                step,
-                y0 + predictor_scale
-                * float(np.dot(rect_rev[panels - n:], slopes[:step])),
+            predicted = y0 + predictor_scale * float(
+                np.dot(rect_rev[panels - n:], slopes[:step])
             )
+            if not -limit <= predicted <= limit:
+                raise BlowUpError(step, predicted)
             head = float(closing) * f0 + float(
                 np.dot(trap_rev[panels - n:panels], slopes[1:step])
             )
             corrected = predicted
             for _ in range(iterations):
-                corrected = _guard(
-                    step, y0 + corrector_scale * (head + rhs(t_next, corrected))
-                )
+                corrected = y0 + corrector_scale * (head + rhs(t_next, corrected))
+                if not -limit <= corrected <= limit:
+                    raise BlowUpError(step, corrected)
             values[step] = corrected
             predictors[n] = predicted
             if step < panels:

@@ -1,9 +1,10 @@
+import hashlib
 import subprocess
 import sys
 
 import pytest
 
-from confrac import cli
+from confrac import cli, problems
 
 
 def run_cli(*argv):
@@ -156,6 +157,47 @@ def test_compare_rejects_bad_method_lists(tmp_path):
     assert run_cli(*base, "--methods", "") == 2
 
 
+# ---------------------------------------------------------------- byte stability
+
+#: sha256 of each output as the writers produced it before they were
+#: vectorised; any change to a byte of CSV or SVG output shows here
+_FROZEN_SHA256 = {
+    ("solve", "example1", "0.5", "2", "csv"):
+        "740bc1c86e20c8941dad593cd3808a9fd787a192cce20427f00fc95bee580b52",
+    ("solve", "example1", "0.5", "2", "svg"):
+        "29141e0a2e4ae5eed3715d3be95048b9e95e7b6091cfee7615b84ad36493cfab",
+    ("solve", "example2", "0.5", "0.5", "csv"):
+        "f5691826eb760fd4dc7baf0d40084235951406ea862219f3f8d9cce26b1b6c8d",
+    ("solve", "example2", "0.5", "0.5", "svg"):
+        "34435f045b31b99e3a8315c40d4e49dfe17f00575051282afde8fcea521d1107",
+    ("solve", "example3", "0.7", "2", "csv"):
+        "8750e30bc3aadcba7dc471af5f550bc680e44f967807223385b0988fd0e40383",
+    ("solve", "example3", "0.7", "2", "svg"):
+        "2fce447b3983cd3540e08216de03020f24b0a8f2ba49bf193aad04b765fa6da5",
+    # first order cell blank, the rest numbers
+    ("convergence", "example1", "0.5", "2", "csv"):
+        "45df955dcec0d5c2ff61c4a506cdd42a0e21438f5d490b6dda901a679a1cdb06",
+    ("compare", "example1", "1", "2", "csv"):
+        "922e6ae61ba487423213789ddf3e14e2c21305e99032304408dc064148bb242b",
+}
+
+
+def test_outputs_are_byte_stable(tmp_path):
+    for (command, problem, alpha, tau, fmt), digest in _FROZEN_SHA256.items():
+        out = tmp_path / f"{command}-{problem}.{fmt}"
+        args = [command, "--problem", problem, "--alpha", alpha, "--tau", tau,
+                "--output", str(out)]
+        if command == "solve":
+            # the README's three plot configurations
+            args += ["--method", "conformable", "--h", "0.001", "--format", fmt]
+        elif command == "convergence":
+            args += ["--method", "conformable", "--h0", "0.04", "--levels", "5"]
+        else:
+            args += ["--h", "0.01", "--methods", "classical,conformable,caputo"]
+        assert run_cli(*args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.name
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -254,14 +296,38 @@ def test_compare_checks_every_method_before_solving(tmp_path, monkeypatch, capsy
 
 def test_closed_form_failure_leaves_no_partial_csv(tmp_path, capsys):
     # the horizon sits below example2's asymptote, but the grid's last node
-    # rounds onto it, so the closed form raises at the final row
+    # rounds onto it, where the closed form would raise at the final row
     out = tmp_path / "edge.csv"
     assert run_cli(
         "solve", "--problem", "example2", "--method", "conformable",
         "--alpha", "0.5", "--tau", "0.6168502750680848",
         "--h", "0.0006168502750680849", "--output", str(out),
     ) == 2
-    assert "asymptote" in capsys.readouterr().err
+    assert "last grid node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_last_node_on_asymptote_is_refused_before_solving(
+    tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a grid whose last node is on the asymptote")
+
+    monkeypatch.setattr(problems, "solve_conformable_pc", no_solve)
+    edge = ("--problem", "example2", "--method", "conformable", "--alpha", "0.5",
+            "--tau", "0.6168502750680848")
+    h = "0.0006168502750680849"
+    for fmt in ("csv", "svg"):
+        out = tmp_path / f"edge.{fmt}"
+        assert run_cli("solve", *edge, "--h", h, "--format", fmt,
+                       "--output", str(out)) == 2
+        assert "last grid node" in capsys.readouterr().err
+        assert not out.exists()
+    # the ladder's finest level, h0 / 2, ends on the same node
+    out = tmp_path / "edge-ladder.csv"
+    assert run_cli("convergence", *edge, "--h0", h, "--levels", "2",
+                   "--output", str(out)) == 2
+    assert "last grid node" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -297,6 +297,64 @@ def test_caputo_blow_up_reports_location():
     assert f"blew up at step {exc.step_index} " in str(exc)
 
 
+def _stepped_blow_up(problem, h):
+    """(step_index, t, last_value) where stepping with conformable_step stops."""
+    grid = cf.make_grid(problem.horizon, h)
+    state = cf.initial_conformable_state(problem, grid)
+    last = problem.y0
+    for step in range(1, grid.node_count):
+        try:
+            state, last, _ = cf.conformable_step(state, problem, grid, step)
+        except BlowUpError as exc:
+            return exc.step_index, grid.node(exc.step_index), last
+    raise AssertionError("conformable_step never blew up")
+
+
+@pytest.mark.parametrize("y0, bad", [
+    (1.0, math.nan),
+    (1.0, math.inf),
+    (1.0, -math.inf),
+    # the corrector lands a few ulps past +-BLOWUP_LIMIT
+    (cf.BLOWUP_LIMIT, 1.0),
+    (-cf.BLOWUP_LIMIT, -1.0),
+])
+def test_blow_up_guard_parity(y0, bad):
+    # f is 0 before node 3, so every solver holds y0 until its step-3
+    # corrector meets the bad slope
+    h = 0.25
+    rhs = lambda t, y: bad if t >= 3 * h else 0.0
+    problem = _ivp(rhs, y0, 2.0, 0.5)
+    reports = [_stepped_blow_up(problem, h)]
+    for solve, p in ((cf.solve_conformable_pc, problem),
+                     (cf.solve_conformable_pc_direct, problem),
+                     (cf.solve_caputo_pc, _caputo(rhs, y0, 2.0, 0.5))):
+        with pytest.raises(BlowUpError) as info:
+            solve(p, h)
+        exc = info.value
+        assert not -cf.BLOWUP_LIMIT <= exc.value <= cf.BLOWUP_LIMIT
+        reports.append((exc.step_index, exc.t, exc.last_value))
+    assert reports == [(3, 0.75, y0)] * 4
+
+
+@pytest.mark.parametrize("y0", [cf.BLOWUP_LIMIT, -cf.BLOWUP_LIMIT])
+def test_iterates_at_blow_up_limit_are_accepted(y0):
+    zero = lambda t, y: 0.0
+    traces = [
+        cf.solve_conformable_pc(_ivp(zero, y0, 2.0, 0.5), 0.25),
+        cf.solve_conformable_pc_direct(_ivp(zero, y0, 2.0, 0.5), 0.25),
+        cf.solve_caputo_pc(_caputo(zero, y0, 2.0, 0.5), 0.25),
+        cf.solve_classical_pc(_ivp(zero, y0, 2.0, 1.0), 0.25),
+    ]
+    for trace in traces:
+        assert np.all(trace.values == y0) and np.all(trace.predictors == y0)
+    problem = _ivp(zero, y0, 2.0, 0.5)
+    grid = cf.make_grid(2.0, 0.25)
+    state = cf.initial_conformable_state(problem, grid)
+    for step in range(1, grid.node_count):
+        state, y, yp = cf.conformable_step(state, problem, grid, step)
+        assert y == yp == y0
+
+
 def test_problem_validation():
     with pytest.raises(DomainError):
         _ivp(lambda t, y: y, 1.0, 0.0, 0.5)
