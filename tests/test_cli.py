@@ -39,6 +39,32 @@ def test_module_entry_point_smoke():
     assert "example2" in proc.stdout
 
 
+_FFT_PROBE = (
+    "import sys\n"
+    "from confrac.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy.fft' in sys.modules)\n"
+    "sys.exit(code)\n"
+)
+
+
+@pytest.mark.parametrize("argv,loads_fft", [
+    (["list"], False),
+    (["solve", "--method", "conformable", "--alpha", "0.5"], False),
+    (["solve", "--method", "classical", "--alpha", "1"], False),
+    # control: a Caputo grid past one 1,024-step leaf does use the FFT
+    (["solve", "--method", "caputo", "--alpha", "0.5"], True),
+])
+def test_only_long_caputo_runs_load_fft(argv, loads_fft, tmp_path):
+    if argv[0] == "solve":
+        argv = argv + ["--problem", "example1", "--tau", "2", "--h", "0.001",
+                       "--output", str(tmp_path / "run.csv")]
+    proc = subprocess.run([sys.executable, "-c", _FFT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loads_fft)
+
+
 # ---------------------------------------------------------------- solve
 
 

@@ -196,11 +196,12 @@ def test_caputo_weights_head_matches_closing_coefficient():
         cf.caputo_weights(-1, 0.5)
 
 
-def _abm_oracle(problem, h):
+def _abm_oracle(problem, h, corrector_iterations=1):
     """The Caputo ABM recursion, re-run from the public weight vectors.
 
     Weights for node n + 1 are suffixes of ``caputo_weights(panels)``; the
-    corrector's head is the trapezoid closing coefficient at n.
+    corrector's head is the trapezoid closing coefficient at n.  Each step
+    re-sums the whole history, O(n) per step.
     """
     a, rhs, y0 = problem.order.value, problem.rhs, problem.y0
     panels = round(problem.horizon / h)
@@ -218,9 +219,11 @@ def _abm_oracle(problem, h):
         head = cf.trapezoid_tail_coefficient(n, a) * slopes[0] + float(
             np.dot(corrector_w[panels + 1 - n:panels + 1], slopes[1:n + 1])
         )
-        corrected = y0 + corrector_scale * (
-            head + corrector_w[-1] * rhs(t, predicted)
-        )
+        corrected = predicted
+        for _ in range(corrector_iterations):
+            corrected = y0 + corrector_scale * (
+                head + corrector_w[-1] * rhs(t, corrected)
+            )
         slopes[n + 1] = rhs(t, corrected)
         values.append(corrected)
         predictors.append(predicted)
@@ -235,6 +238,39 @@ def test_caputo_solver_matches_weight_vector_oracle(a):
     values, predictors = _abm_oracle(problem, 1 / 400)
     assert np.array_equal(trace.values, values)
     assert np.array_equal(trace.predictors, predictors)
+
+
+# largest relative gap between the FFT history sums and the oracle's
+# direct sums, over the grids and orders below: 1.35e-15 (a = 0.5,
+# 25,601 nodes); the bound leaves three times that
+_RECURSION_GAP = 4e-15
+
+
+@pytest.mark.parametrize("nodes,iterations",
+                         [(1025, 1), (1025, 2), (4097, 1), (4097, 2), (25601, 1)])
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 1.0])
+def test_caputo_recursive_history_matches_oracle(a, nodes, iterations):
+    # past one 1,024-step leaf the far-field sums come from FFT blocks;
+    # from 4,097 nodes on, blocks are also cut into several FFT chunks
+    problem = cf.get_problem("example1").caputo_problem(a, 2.0)
+    h = 2.0 / (nodes - 1)
+    trace = cf.solve_caputo_pc(problem, h, iterations)
+    values, predictors = _abm_oracle(problem, h, iterations)
+    assert np.max(np.abs(trace.values - values) / values) <= _RECURSION_GAP
+    assert np.max(np.abs(trace.predictors - predictors) / predictors) <= _RECURSION_GAP
+
+
+def test_caputo_node_values_do_not_depend_on_horizon():
+    # the kernels never read past the coefficient tables, so a run cut short
+    # reproduces the longer run's nodes bit for bit
+    h = 2.0 / 25600
+    full = cf.solve_caputo_pc(cf.get_problem("example1").caputo_problem(0.5, 2.0), h)
+    for nodes in (1025, 2049, 3000, 4097, 16385, 20000):
+        problem = cf.get_problem("example1").caputo_problem(0.5, (nodes - 1) * h)
+        trace = cf.solve_caputo_pc(problem, h)
+        assert trace.grid.node_count == nodes
+        assert np.array_equal(trace.values, full.values[:nodes])
+        assert np.array_equal(trace.predictors, full.predictors[:nodes - 1])
 
 
 def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
@@ -295,6 +331,29 @@ def test_caputo_blow_up_reports_location():
     assert exc.last_value == trace.endpoint
     assert abs(exc.last_value) <= cf.BLOWUP_LIMIT < abs(exc.value)
     assert f"blew up at step {exc.step_index} " in str(exc)
+
+
+def test_caputo_blow_up_past_first_leaf_reports_location():
+    # at h = 1e-4 the first bad iterate comes long after the first FFT block
+    square = lambda t, y: y * y
+    h = 1e-4
+    with pytest.raises(BlowUpError) as info:
+        cf.solve_caputo_pc(_caputo(square, 1.0, 0.5, 0.5), h)
+    exc = info.value
+    step = exc.step_index
+    assert step > 1024
+    assert exc.t == step * h
+    # the O(n) oracle first leaves the limit at the same step
+    values, predictors = _abm_oracle(_caputo(square, 1.0, step * h, 0.5), h)
+    last = max(abs(values[-1]), abs(predictors[-1]))
+    assert np.max(np.abs(values[:-1])) <= cf.BLOWUP_LIMIT < last
+    assert np.max(np.abs(predictors[:-1])) <= cf.BLOWUP_LIMIT
+    # last_value is node step - 1 of this run; next to the blow-up the
+    # oracle gap grows to 1.6e-12 relative
+    trace = cf.solve_caputo_pc(_caputo(square, 1.0, (step - 1) * h, 0.5), h)
+    assert exc.last_value == trace.endpoint
+    assert exc.last_value == pytest.approx(values[-2], rel=1e-11)
+    assert f"blew up at step {step} " in str(exc)
 
 
 def _stepped_blow_up(problem, h):
