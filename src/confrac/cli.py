@@ -15,8 +15,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import as_alpha
 from .errors import BlowUpError, ConfracError
@@ -35,6 +38,16 @@ EXIT_USAGE = 2
 EXIT_BLOWUP = 3
 
 DEFAULT_MARKER_STRIDE = 90
+
+#: rows and polyline points are converted to Python floats this many at a
+#: time, so no list as long as the grid is ever held
+_CHUNK = 4096
+
+
+def _floats(column: np.ndarray):
+    """The entries of a float64 array as Python floats, ``_CHUNK`` at a time."""
+    return chain.from_iterable(column[lo:lo + _CHUNK].tolist()
+                               for lo in range(0, len(column), _CHUNK))
 
 
 def write_csv(table, path: str) -> None:
@@ -75,9 +88,6 @@ _SVG_W, _SVG_H = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 24, 24, 56
 _CURVE_COLOR = "#1f77b4"
 _MARKER_COLOR = "#d62728"
-#: polyline points formatted per ``.tolist()`` chunk, so no list of every
-#: point's coordinates is held at once
-_POINT_CHUNK = 4096
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -113,7 +123,9 @@ def write_svg(
 
     The numeric solution is a polyline; the exact solution, when a sampler
     is given, appears as hollow circles at every ``marker_stride``-th node,
-    matching the sparse-marker figure style.
+    matching the sparse-marker figure style.  Markers and axes are computed
+    first; the polyline's pixels are then computed and written ``_CHUNK``
+    points at a time, so no string or list as long as the grid is built.
     """
     if marker_stride < 1:
         raise ValueError(f"marker stride must be >= 1, got {marker_stride}")
@@ -187,47 +199,49 @@ def write_svg(
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.2f})">y</text>'
     )
 
-    xs, ys = px(times), py(values)
-    point = "%.2f,%.2f".__mod__
-    points = " ".join(
-        " ".join(map(point, zip(xs[i:i + _POINT_CHUNK].tolist(),
-                                ys[i:i + _POINT_CHUNK].tolist())))
-        for i in range(0, len(xs), _POINT_CHUNK)
-    )
-    parts.append(
-        f'<polyline points="{points}" fill="none" stroke="{_CURVE_COLOR}" '
-        f'stroke-width="1.5"/>'
-    )
+    # everything after the polyline, which is streamed to the file in between
+    tail = []
     for t, v in marker_points:
-        parts.append(
+        tail.append(
             f'<circle cx="{px(t):.2f}" cy="{py(v):.2f}" r="4" fill="none" '
             f'stroke="{_MARKER_COLOR}" stroke-width="1.2"/>'
         )
 
     legend_x = _MARGIN_L + 14
     legend_y = _MARGIN_T + 18
-    parts.append(
+    tail.append(
         f'<line x1="{legend_x}" y1="{legend_y}" x2="{legend_x + 28}" '
         f'y2="{legend_y}" stroke="{_CURVE_COLOR}" stroke-width="1.5"/>'
     )
-    parts.append(
+    tail.append(
         f'<text x="{legend_x + 36}" y="{legend_y + 4}" {font}>'
         f"Numerical solution</text>"
     )
     if marker_points:
-        parts.append(
+        tail.append(
             f'<circle cx="{legend_x + 14}" cy="{legend_y + 20}" r="4" '
             f'fill="none" stroke="{_MARKER_COLOR}" stroke-width="1.2"/>'
         )
-        parts.append(
+        tail.append(
             f'<text x="{legend_x + 36}" y="{legend_y + 24}" {font}>'
             f"Exact solution</text>"
         )
-    parts.append("</svg>")
+    tail.append("</svg>")
 
+    point = "%.2f,%.2f".__mod__
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(parts))
+            fh.write('\n<polyline points="')
+            for lo in range(0, len(times), _CHUNK):
+                xs = px(times[lo:lo + _CHUNK]).tolist()
+                ys = py(values[lo:lo + _CHUNK]).tolist()
+                if lo:
+                    fh.write(" ")
+                fh.write(" ".join(map(point, zip(xs, ys))))
+            fh.write(f'" fill="none" stroke="{_CURVE_COLOR}" '
+                     f'stroke-width="1.5"/>\n')
+            fh.write("\n".join(tail))
             fh.write("\n")
     except OSError as exc:
         raise ConfracError(f"cannot write {path!r}: {exc}") from exc
@@ -245,6 +259,16 @@ def cmd_list() -> int:
             line = f"{line}   {named.domain_note}"
         print(line)
     return EXIT_OK
+
+
+def _exact_column(exact, alpha, times: np.ndarray) -> np.ndarray:
+    """The closed form at every node, one call per node, as a float64 array.
+
+    Filled before any output file is opened, so a closed form that raises
+    on a late node leaves no partial file.
+    """
+    return np.fromiter((exact(t, alpha) for t in _floats(times)), float,
+                       len(times))
 
 
 def cmd_solve(
@@ -272,15 +296,15 @@ def cmd_solve(
             sampler = lambda t: exact(t, alpha)  # noqa: E731
         write_svg(trace, sampler, output_path, marker_stride)
         return EXIT_OK
-    times, values = trace.times().tolist(), trace.values.tolist()
+    times = trace.times()
     if named.exact is not None:
         header = ["t", "y_num", "y_exact", "abs_err"]
-        references = [named.exact(t, alpha) for t in times]
+        columns = times, trace.values, _exact_column(named.exact, alpha, times)
         rows = ((t, y, ref, abs(y - ref))
-                for t, y, ref in zip(times, values, references))
+                for t, y, ref in zip(*map(_floats, columns)))
     else:
         header = ["t", "y_num"]
-        rows = zip(times, values)
+        rows = zip(_floats(times), _floats(trace.values))
     write_csv((header, rows), output_path)
     return EXIT_OK
 
@@ -324,12 +348,12 @@ def cmd_compare(
         method_grid(named, m, alpha, tau, h)
     traces = [solve_named(named, m, alpha, h, tau) for m in methods]
     header = ["t"] + [f"y_{m}" for m in methods]
-    times = traces[0].times().tolist()
-    columns = [times] + [trace.values.tolist() for trace in traces]
+    times = traces[0].times()
+    columns = [times] + [trace.values for trace in traces]
     if named.exact is not None:
         header.append("y_exact")
-        columns.append([named.exact(t, alpha) for t in times])
-    write_csv((header, zip(*columns)), output_path)
+        columns.append(_exact_column(named.exact, alpha, times))
+    write_csv((header, zip(*map(_floats, columns))), output_path)
     return EXIT_OK
 
 

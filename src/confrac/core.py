@@ -24,7 +24,8 @@ ScalarFunction = Callable[[float], float]
 #: relative slack when deciding whether a step size divides the horizon
 GRID_RTOL = 1e-9
 
-#: largest grid make_grid builds; the Caputo solver does O(nodes**2) work
+#: largest grid make_grid builds; a conformable solve holds 16 bytes per
+#: node, and the Caputo solver takes at most solvers.CAPUTO_MAX_NODES
 MAX_NODES = 10**7
 
 
@@ -78,7 +79,10 @@ class UniformGrid:
         return j * self.step
 
     def nodes(self) -> np.ndarray:
-        return self.step * np.arange(self.node_count)
+        # scaled in place: one array, with the bits of ``j * step``
+        nodes = np.arange(self.node_count, dtype=float)
+        nodes *= self.step
+        return nodes
 
 
 def make_grid(tau: float, h: float) -> UniformGrid:

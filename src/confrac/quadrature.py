@@ -13,8 +13,9 @@ smooth factor:
 Coefficients only depend on their own index, never on the grid length,
 which is what lets the solvers in :mod:`confrac.solvers` update running
 sums instead of re-summing history.  :func:`coefficient_tables` builds all
-three sequences once per solve; the scalar functions evaluate single
-entries with the same arithmetic, so both agree bit for bit.
+three sequences for indices 0 .. n, and the conformable solver builds them
+block by block; the scalar functions evaluate single entries with the
+same arithmetic, so all three routes agree bit for bit.
 
 Large indices need care: the naive second difference subtracts three
 nearly equal numbers of size ``j**(a + 1)`` and loses roughly ``j**2``
@@ -139,6 +140,47 @@ def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
     return m**beta * _tail_series(1.0 / m, beta)
 
 
+def _coefficient_block(
+    lo: int, hi: int, a: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rectangle, trapezoid and closing coefficients for indices lo .. hi - 1.
+
+    Entry ``j - lo`` of the three arrays equals ``rectangle_coefficient(j, a)``,
+    ``trapezoid_coefficient(j, a)`` and ``trapezoid_tail_coefficient(j, a)``
+    bit for bit, wherever the block starts and ends: every entry gets its
+    own Python ``pow`` and its own series, so a block may straddle
+    ``_SERIES_CUTOFF``.
+    """
+    beta = a + 1.0
+    # trapezoid entry 0 is 1, not a difference; q starts one index before
+    # the first difference
+    first = max(lo, 1)
+    # Python's pow, which the scalar functions use: numpy's vectorised
+    # power may differ from it in the last place
+    p = np.fromiter(map(pow, range(lo, hi + 1), repeat(a)), float, hi + 1 - lo)
+    q = np.fromiter(map(pow, range(first - 1, hi + 1), repeat(beta)), float,
+                    hi + 2 - first)
+    # q[k] holds index first - 1 + k; s is where index lo sits in q
+    s = lo - first + 1
+    rect = p[1:] - p[:-1]
+    trap = np.empty(hi - lo)
+    trap[first - lo:] = q[:-2] - 2.0 * q[1:-1] + q[2:]
+    if lo == 0:
+        trap[0] = 1.0
+    tail = beta * p[1:] + q[s:-1] - q[s + 1:]
+    cut = _SERIES_CUTOFF
+    start = max(lo, cut)
+    if beta != 2.0 and start < hi:
+        j = np.arange(start, hi, dtype=float)
+        trap[start - lo:] = (2.0 * q[start - first + 1:-1]
+                             * _interior_series(1.0 / j, beta))
+    start = max(lo, cut - 1)
+    if a != 1.0 and start < hi:
+        m = np.arange(start + 1, hi + 1, dtype=float)
+        tail[start - lo:] = q[start - first + 2:] * _tail_series(1.0 / m, beta)
+    return rect, trap, tail
+
+
 def coefficient_tables(
     n: int, alpha: AlphaLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,29 +188,12 @@ def coefficient_tables(
 
     Entry j of the three arrays equals ``rectangle_coefficient(j, alpha)``,
     ``trapezoid_coefficient(j, alpha)`` and
-    ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.
+    ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.  The whole-range
+    case of the block generator the conformable solver steps through.
     """
     if n < 0:
         raise ValueError(f"panel index must be non-negative, got {n}")
-    a = as_alpha(alpha).value
-    beta = a + 1.0
-    # Python's pow, which the scalar functions use: numpy's vectorised
-    # power may differ from it in the last place
-    p = np.fromiter(map(pow, range(n + 2), repeat(a)), float, n + 2)
-    q = np.fromiter(map(pow, range(n + 2), repeat(beta)), float, n + 2)
-    rect = p[1:] - p[:-1]
-    trap = np.empty(n + 1)
-    trap[0] = 1.0
-    trap[1:] = q[:-2] - 2.0 * q[1:-1] + q[2:]
-    tail = beta * p[1:] + q[:-1] - q[1:]
-    cut = _SERIES_CUTOFF
-    if beta != 2.0 and n >= cut:
-        j = np.arange(cut, n + 1, dtype=float)
-        trap[cut:] = 2.0 * q[cut:-1] * _interior_series(1.0 / j, beta)
-    if a != 1.0 and n + 1 >= cut:
-        m = np.arange(cut, n + 2, dtype=float)
-        tail[cut - 1:] = q[cut:] * _tail_series(1.0 / m, beta)
-    return rect, trap, tail
+    return _coefficient_block(0, n + 1, as_alpha(alpha).value)
 
 
 def product_scales(a: float, h: float) -> tuple[float, float]:

@@ -31,6 +31,7 @@ import numpy as np
 from .core import Alpha, AlphaLike, UniformGrid, make_grid
 from .errors import BlowUpError, DomainError, GridError
 from .quadrature import (
+    _coefficient_block,
     coefficient_tables,
     gamma,
     product_scales,
@@ -49,6 +50,10 @@ BLOWUP_LIMIT = 1e12
 #: at 25,601 nodes, 0.6 s at 102,401 and 6.5-7.2 s (129 MB peak RSS) at
 #: 10**6 nodes on a 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
+
+#: steps per block of the conformable solver: each block builds its own
+#: coefficients, so its memory does not grow with the grid
+_BLOCK = 4096
 
 # steps per leaf of the Caputo history recursion, and the largest FFT
 # size its far-field convolutions use (both powers of two)
@@ -222,25 +227,24 @@ def initial_conformable_state(
     )
 
 
-def _conformable_run(accumulator, history, rhs, step_size, first_step,
-                     iterations, weights, values, predictors):
-    """Steps ``first_step``, ``first_step + 1``, ... with scaled weight triples.
+def _conformable_run(accumulator, history, rhs, first_step, iterations,
+                     weights, values, predictors):
+    """Steps ``first_step``, ``first_step + 1``, ... from scaled weight tuples.
 
-    ``weights`` yields one ``(rect, trap, tail)`` triple per step.  The k-th
-    step stores its corrected value in ``values[k]`` and its predicted value
-    in ``predictors[k]``; returns the two running sums after the last step.
+    ``weights`` yields one ``(t, rect, trap, tail)`` tuple per step, ``t``
+    being the node's time.  The k-th step stores its corrected value in
+    ``values[k]`` and its predicted value in ``predictors[k]``; returns the
+    two running sums after the last step.
     """
     limit = BLOWUP_LIMIT
-    for k, (rect_weight, trap_weight, tail_weight) in enumerate(weights):
-        step = first_step + k
-        t_next = step * step_size
+    for k, (t_next, rect_weight, trap_weight, tail_weight) in enumerate(weights):
         if not -limit <= accumulator <= limit:
-            raise BlowUpError(step, accumulator)
+            raise BlowUpError(first_step + k, accumulator)
         corrected = accumulator
         for _ in range(iterations):
             corrected = history + tail_weight * rhs(t_next, corrected)
             if not -limit <= corrected <= limit:
-                raise BlowUpError(step, corrected)
+                raise BlowUpError(first_step + k, corrected)
         f_next = rhs(t_next, corrected)
         values[k] = corrected
         predictors[k] = accumulator
@@ -276,6 +280,7 @@ def conformable_step(
     iterations = _checked_iterations(corrector_iterations)
     cte1, cte2 = product_scales(problem.order.value, grid.step)
     weights = (
+        grid.node(step_index),
         cte1 * rectangle_coefficient(step_index, problem.order),
         cte2 * trapezoid_coefficient(step_index, problem.order),
         cte2 * trapezoid_tail_coefficient(step_index - 1, problem.order),
@@ -283,7 +288,7 @@ def conformable_step(
     corrected, predicted = [0.0], [0.0]
     sums = _conformable_run(
         state.predictor_accumulator, state.corrector_history, problem.rhs,
-        grid.step, step_index, iterations, (weights,), corrected, predicted,
+        step_index, iterations, (weights,), corrected, predicted,
     )
     return ConformablePcState(*sums, step_index), corrected[0], predicted[0]
 
@@ -295,28 +300,34 @@ def solve_conformable_pc(
 ) -> SolutionTrace:
     """Product rectangle/trapezoid predictor-corrector run, O(1) per step.
 
-    The history lives in two running sums held in local floats, and all
-    steps run in one loop with no call per step besides the right-hand
-    side.  The blow-up guard is the inline test
-    ``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` on every iterate, which is also
-    false for NaN and +-inf.
+    The history lives in two running sums held in local floats, and the
+    steps run in blocks of ``_BLOCK``: each block builds its own scaled
+    coefficients and node times, so besides ``values`` and ``predictors``
+    nothing grows with the grid.  Within a block, steps run in one loop
+    with no call per step besides the right-hand side.  The blow-up guard
+    is the inline test ``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` on every
+    iterate, which is also false for NaN and +-inf.
     """
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
-    cte1, cte2 = product_scales(problem.order.value, grid.step)
-    rect, trap, tail = coefficient_tables(grid.panel_count, problem.order)
-    # step j takes rectangle and trapezoid entry j and closing entry j - 1
-    weights = zip((cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
-                  (cte2 * tail).tolist())
+    a = problem.order.value
+    cte1, cte2 = product_scales(a, grid.step)
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
     values[0] = problem.y0
     state = initial_conformable_state(problem, grid)
+    sums = state.predictor_accumulator, state.corrector_history
     try:
-        _conformable_run(
-            state.predictor_accumulator, state.corrector_history, problem.rhs,
-            grid.step, 1, iterations, weights, values[1:], predictors,
-        )
+        for lo in range(1, grid.node_count, _BLOCK):
+            hi = min(lo + _BLOCK, grid.node_count)
+            # step j takes rectangle and trapezoid entry j and closing
+            # entry j - 1
+            rect, trap, tail = _coefficient_block(lo - 1, hi, a)
+            weights = zip((grid.step * np.arange(lo, hi)).tolist(),
+                          (cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
+                          (cte2 * tail[:-1]).tolist())
+            sums = _conformable_run(*sums, problem.rhs, lo, iterations, weights,
+                                    values[lo:hi], predictors[lo - 1:hi - 1])
     except BlowUpError as exc:
         raise _located(exc, grid, values) from None
     return SolutionTrace(grid=grid, values=values, predictors=predictors,
@@ -384,8 +395,9 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
 def caputo_grid(horizon: float, h: float) -> UniformGrid:
     """:func:`make_grid`, also rejecting more than ``CAPUTO_MAX_NODES`` nodes.
 
-    The Caputo history sums make a solve cost O(nodes**2), so the bound is
-    checked on the grid object, before any table is built or step taken.
+    A solve of n nodes costs O(n log**2 n) time and holds whole-grid
+    coefficient tables and far-field sums, so the bound is checked on the
+    grid object, before any table is built or step taken.
     """
     grid = make_grid(horizon, h)
     if grid.node_count > CAPUTO_MAX_NODES:

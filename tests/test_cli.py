@@ -224,6 +224,25 @@ def test_outputs_are_byte_stable(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.name
 
 
+@pytest.mark.parametrize("command", ["solve-csv", "solve-svg", "compare"])
+def test_chunk_length_does_not_change_bytes(command, tmp_path, monkeypatch):
+    # 2,001 nodes: one chunk by default, 286 chunks of 7
+    command, _, fmt = command.partition("-")
+    args = [command, "--problem", "example1", "--alpha", "0.5", "--tau", "2",
+            "--h", "0.001"]
+    if command == "solve":
+        args += ["--method", "conformable", "--format", fmt]
+    else:
+        args += ["--methods", "conformable,caputo"]
+    outputs = []
+    for chunk in (cli._CHUNK, 7):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        out = tmp_path / f"{chunk}.out"
+        assert run_cli(*args, "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------- exit codes
 
 

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import confrac as cf
 from confrac.errors import DomainError
-from confrac.quadrature import coefficient_tables, product_scales
+from confrac.quadrature import _coefficient_block, coefficient_tables, product_scales
 
 mp.mp.dps = 50
 
@@ -145,6 +145,21 @@ def test_coefficient_tables_match_scalar_functions(a):
     assert np.array_equal(
         tail, [cf.trapezoid_tail_coefficient(j, a) for j in indices]
     )
+
+
+#: block edges around the series switchover (128) and the conformable
+#: solver's block length (4096)
+_BLOCK_EDGES = (0, 1, 127, 128, 129, 4095, 4096, 4097, 8193)
+
+
+@pytest.mark.parametrize("a", (0.3, 0.5, 0.9, 1.0))
+def test_coefficient_blocks_match_tables(a):
+    tables = coefficient_tables(_BLOCK_EDGES[-1], a)
+    for lo in _BLOCK_EDGES:
+        for hi in sorted({lo + 1, *(e for e in _BLOCK_EDGES if e > lo)}):
+            block = _coefficient_block(lo, hi, a)
+            for whole, part in zip(tables, block):
+                assert np.array_equal(whole[lo:hi], part), (a, lo, hi)
 
 
 @pytest.mark.parametrize("a", (0.1, 0.5, 0.9))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,42 @@ def test_conformable_incremental_matches_direct_summation():
     rel = np.abs(fast.values - slow.values) / np.maximum(np.abs(slow.values), 1e-30)
     assert float(rel.max()) < 1e-12
     assert np.array_equal(fast.times(), slow.times())
+
+
+@pytest.mark.parametrize("iterations", [1, 2])
+def test_conformable_blocks_match_direct_summation(iterations, monkeypatch):
+    # 12,501 nodes: three full blocks of 4,096 steps and a partial fourth
+    problem = _ivp(lambda t, y: t * y, 1.0, 1.25, 0.5)
+    h = 1e-4
+    fast = cf.solve_conformable_pc(problem, h, iterations)
+    assert fast.grid.node_count > 3 * cf.solvers._BLOCK + 1
+    slow = cf.solve_conformable_pc_direct(problem, h, iterations)
+    for ours, reference in ((fast.values, slow.values),
+                            (fast.predictors, slow.predictors)):
+        rel = np.abs(ours - reference) / np.abs(reference)
+        assert float(rel.max()) < 1e-12
+    # the block length changes no bit
+    for block in (7, 10**7):
+        monkeypatch.setattr(cf.solvers, "_BLOCK", block)
+        other = cf.solve_conformable_pc(problem, h, iterations)
+        assert np.array_equal(other.values, fast.values)
+        assert np.array_equal(other.predictors, fast.predictors)
+
+
+def test_conformable_solve_memory_is_its_outputs():
+    # values and predictors take 16 bytes per node; coefficients, node
+    # times and scaled weights are built per block
+    problem = _ivp(lambda t, y: t * y, 1.0, 2.0, 0.5)
+    h = 1e-5
+    nodes = cf.make_grid(problem.horizon, h).node_count
+    assert nodes == 200_001
+    tracemalloc.start()
+    try:
+        cf.solve_conformable_pc(problem, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * nodes + 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("h", [0.04, 0.01, 0.001])
@@ -316,6 +353,24 @@ def test_conformable_blow_up_guard():
         assert exc.step_index > 0
         assert exc.t == exc.step_index * 0.5
         assert abs(exc.last_value) <= cf.BLOWUP_LIMIT
+
+
+def test_conformable_blow_up_past_first_block_reports_location():
+    # y' = y crosses the limit at t = 27.6, step 5,527: inside the second block
+    problem = _ivp(lambda t, y: y, 1.0, 40.0, 1.0)
+    h = 0.005
+    reports = []
+    for solver in (cf.solve_conformable_pc, cf.solve_conformable_pc_direct):
+        with pytest.raises(BlowUpError) as info:
+            solver(problem, h)
+        reports.append(info.value)
+    fast, direct = reports
+    assert fast.step_index > cf.solvers._BLOCK + 1
+    assert (fast.step_index, fast.t) == (direct.step_index, direct.t)
+    assert fast.t == fast.step_index * h
+    # the two routes sum the history in a different order
+    assert fast.last_value == pytest.approx(direct.last_value, rel=1e-13)
+    assert (fast.step_index, fast.t, fast.last_value) == _stepped_blow_up(problem, h)
 
 
 def test_caputo_blow_up_reports_location():
