@@ -11,9 +11,7 @@ plots.
 
 from .core import (
     Alpha,
-    ScalarFunction,
     UniformGrid,
-    as_alpha,
     conformable_derivative_numeric,
     conformable_integral_numeric,
     make_grid,
@@ -32,10 +30,6 @@ from .problems import (
     builtin_problems,
     empirical_order,
     error_report,
-    exact_example1,
-    exact_example2,
-    exact_example3,
-    exact_expkernel,
     get_problem,
     refinement_errors,
     solve_named,
@@ -52,7 +46,6 @@ from .quadrature import (
 )
 from .solvers import (
     BLOWUP_LIMIT,
-    CaputoProblem,
     ConformablePcState,
     InitialValueProblem,
     SolutionTrace,
@@ -72,7 +65,6 @@ __all__ = [
     "AlphaRangeError",
     "BLOWUP_LIMIT",
     "BlowUpError",
-    "CaputoProblem",
     "ConformablePcState",
     "ConfracError",
     "DomainError",
@@ -81,10 +73,8 @@ __all__ = [
     "InitialValueProblem",
     "NamedProblem",
     "OrderUndefinedError",
-    "ScalarFunction",
     "SolutionTrace",
     "UniformGrid",
-    "as_alpha",
     "builtin_problems",
     "caputo_weights",
     "conformable_derivative_numeric",
@@ -92,10 +82,6 @@ __all__ = [
     "conformable_step",
     "empirical_order",
     "error_report",
-    "exact_example1",
-    "exact_example2",
-    "exact_example3",
-    "exact_expkernel",
     "gamma",
     "get_problem",
     "initial_conformable_state",

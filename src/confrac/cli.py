@@ -24,6 +24,7 @@ import numpy as np
 from .core import as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
+    _exact_column,
     builtin_problems,
     get_problem,
     halving_orders,
@@ -261,88 +262,81 @@ def cmd_list() -> int:
     return EXIT_OK
 
 
-def _exact_column(exact, alpha, times: np.ndarray) -> np.ndarray:
-    """The closed form at every node, one call per node, as a float64 array.
-
-    Filled before any output file is opened, so a closed form that raises
-    on a late node leaves no partial file.
-    """
-    return np.fromiter((exact(t, alpha) for t in _floats(times)), float,
-                       len(times))
-
-
 def cmd_solve(
-    problem_id: str,
+    problem: str,
     method: str,
     alpha: float,
     h: float,
     tau: float | None,
-    output_path: str,
-    fmt: str = "csv",
+    output: str,
+    format: str = "csv",
     marker_stride: int = DEFAULT_MARKER_STRIDE,
 ) -> int:
     """Run one solve and write its trace as CSV or SVG."""
-    if fmt not in ("csv", "svg"):
-        raise ValueError(f"format must be csv or svg, got {fmt!r}")
+    if format not in ("csv", "svg"):
+        raise ValueError(f"format must be csv or svg, got {format!r}")
     if marker_stride < 1:
         raise ValueError(f"marker stride must be >= 1, got {marker_stride}")
-    named = get_problem(problem_id)
+    named = get_problem(problem)
     alpha = as_alpha(alpha)
     trace = solve_named(named, method, alpha, h, tau)
-    if fmt == "svg":
+    if format == "svg":
         sampler = None
         if named.exact is not None:
             exact = named.exact
             sampler = lambda t: exact(t, alpha)  # noqa: E731
-        write_svg(trace, sampler, output_path, marker_stride)
+        write_svg(trace, sampler, output, marker_stride)
         return EXIT_OK
-    times = trace.times()
+    # the CSV reads only times and values: the rest of the trace, its
+    # predictors included, is let go before the closed form is sampled
+    times, values = trace.times(), trace.values
+    del trace
     if named.exact is not None:
         header = ["t", "y_num", "y_exact", "abs_err"]
-        columns = times, trace.values, _exact_column(named.exact, alpha, times)
+        columns = times, values, _exact_column(named.exact, alpha, times)
         rows = ((t, y, ref, abs(y - ref))
                 for t, y, ref in zip(*map(_floats, columns)))
     else:
         header = ["t", "y_num"]
-        rows = zip(_floats(times), _floats(trace.values))
-    write_csv((header, rows), output_path)
+        rows = zip(_floats(times), _floats(values))
+    write_csv((header, rows), output)
     return EXIT_OK
 
 
 def cmd_convergence(
-    problem_id: str,
+    problem: str,
     method: str,
     alpha: float,
     tau: float | None,
     h0: float,
     levels: int,
-    output_path: str,
+    output: str,
 ) -> int:
     """Write the step-halving error table for one problem/method."""
-    named = get_problem(problem_id)
+    named = get_problem(problem)
     pairs = refinement_errors(named, method, as_alpha(alpha), tau, h0, levels)
     orders = [None] + halving_orders([err for _, err in pairs])
     # the order column is all str, so blank cells and numbers share a template
     rows = ((h, err, "" if order is None else "%.17g" % order)
             for (h, err), order in zip(pairs, orders))
-    write_csv((["h", "endpoint_abs_error", "estimated_order"], rows), output_path)
+    write_csv((["h", "endpoint_abs_error", "estimated_order"], rows), output)
     return EXIT_OK
 
 
 def cmd_compare(
-    problem_id: str,
+    problem: str,
     alpha: float,
     tau: float | None,
     h: float,
     methods: Sequence[str],
-    output_path: str,
+    output: str,
 ) -> int:
     """Run several methods on one problem and write them side by side."""
     if len(methods) < 1:
         raise ValueError("compare needs at least one method")
     if len(set(methods)) != len(methods):
         raise ValueError(f"duplicate method in {','.join(methods)}")
-    named = get_problem(problem_id)
+    named = get_problem(problem)
     alpha = as_alpha(alpha)
     for m in methods:
         method_grid(named, m, alpha, tau, h)
@@ -353,7 +347,7 @@ def cmd_compare(
     if named.exact is not None:
         header.append("y_exact")
         columns.append(_exact_column(named.exact, alpha, times))
-    write_csv((header, zip(*map(_floats, columns))), output_path)
+    write_csv((header, zip(*map(_floats, columns))), output)
     return EXIT_OK
 
 
@@ -381,42 +375,84 @@ def _read_spec_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, str | None]:
-    """Merge CLI flags over spec-file values; flags win."""
-    from_file: dict[str, str] = {}
-    if getattr(args, "spec", None):
-        from_file = _read_spec_file(args.spec)
-        unknown = sorted(set(from_file) - set(keys))
-        if unknown:
-            raise ValueError(
-                f"spec file sets keys not used by this command: {', '.join(unknown)}"
-            )
-    merged: dict[str, str | None] = {}
-    for key in keys:
-        flag_value = getattr(args, key, None)
-        merged[key] = flag_value if flag_value is not None else from_file.get(key)
-    return merged
+#: default of an option that has none: leaving it out is a usage error
+_REQUIRED = object()
+
+#: what a converter that raises ValueError expects, for the error message
+_EXPECTS = {float: "a number", int: "an integer"}
+
+# (converter, default, help) of the options several subcommands take
+_PROBLEM = (str, _REQUIRED, "built-in problem id")
+_METHOD = (str, _REQUIRED, "classical | conformable | caputo")
+_ALPHA = (float, _REQUIRED, "fractional order in (0, 1]")
+_TAU = (float, None, "horizon (problem default when omitted)")
+_STEP = (float, _REQUIRED, "step size")
+_OUTPUT = (str, _REQUIRED, "output file path")
+
+#: per subcommand, its help and its options, keyed as the ``cmd_*``
+#: parameters are; each key is a spec-file key and, with ``_`` written
+#: ``-``, a flag.  Options are resolved in table order, so when several
+#: are at fault the first one's message is the one shown
+_OPTIONS = {
+    "solve": ("run one solve and write CSV or SVG", {
+        "problem": _PROBLEM,
+        "method": _METHOD,
+        "alpha": _ALPHA,
+        "h": _STEP,
+        "tau": _TAU,
+        "output": _OUTPUT,
+        # an empty --format also means csv
+        "format": (lambda value: value or "csv", "csv", "csv (default) or svg"),
+        "marker_stride": (int, DEFAULT_MARKER_STRIDE,
+                          "node stride between exact-solution markers (svg)"),
+    }),
+    "convergence": ("step-halving error sweep to CSV", {
+        "problem": _PROBLEM,
+        "method": _METHOD,
+        "alpha": _ALPHA,
+        "tau": _TAU,
+        "h0": (float, _REQUIRED, "coarsest step size"),
+        "levels": (int, _REQUIRED, "number of halvings (>= 2)"),
+        "output": _OUTPUT,
+    }),
+    "compare": ("side-by-side methods to CSV", {
+        "methods": (lambda value: tuple(m.strip() for m in value.split(",")
+                                        if m.strip()),
+                    _REQUIRED, "comma-separated method list"),
+        "problem": _PROBLEM,
+        "alpha": _ALPHA,
+        "tau": _TAU,
+        "h": _STEP,
+        "output": _OUTPUT,
+    }),
+}
 
 
-def _require(merged: dict[str, str | None], key: str) -> str:
-    value = merged.get(key)
-    if value is None:
-        raise ValueError(f"missing required option --{key.replace('_', '-')}")
-    return value
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _to_float(name: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"--{name} expects a number, got {value!r}") from None
-
-
-def _to_int(name: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"--{name} expects an integer, got {value!r}") from None
+def _options(args: argparse.Namespace) -> dict[str, object]:
+    """The subcommand's options: flags over spec-file values over defaults."""
+    table = _OPTIONS[args.command][1]
+    from_file = _read_spec_file(args.spec) if args.spec else {}
+    unknown = sorted(set(from_file) - set(table))
+    if unknown:
+        raise ValueError(
+            f"spec file sets keys not used by this command: {', '.join(unknown)}"
+        )
+    options = {}
+    for key, (convert, default, _) in table.items():
+        value = getattr(args, key)
+        value = from_file.get(key) if value is None else value
+        if value is None and default is _REQUIRED:
+            raise ValueError(f"missing required option {_flag(key)}")
+        try:
+            options[key] = default if value is None else convert(value)
+        except ValueError:
+            raise ValueError(f"{_flag(key)} expects {_EXPECTS[convert]}, "
+                             f"got {value!r}") from None
+    return options
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,86 +462,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "initial value problems.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
     sub.add_parser("list", help="list built-in problems")
-
-    solve = sub.add_parser("solve", help="run one solve and write CSV or SVG")
-    convergence = sub.add_parser(
-        "convergence", help="step-halving error sweep to CSV"
-    )
-    compare = sub.add_parser("compare", help="side-by-side methods to CSV")
-
-    for p in (solve, convergence, compare):
-        p.add_argument("--problem", help="built-in problem id")
-        p.add_argument("--alpha", help="fractional order in (0, 1]")
-        p.add_argument("--tau", help="horizon (problem default when omitted)")
-        p.add_argument("--output", help="output file path")
+    for command, (summary, table) in _OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, (_, _, text) in table.items():
+            p.add_argument(_flag(key), dest=key, help=text)
         p.add_argument("--spec", help="key = value manifest; flags override it")
-    for p in (solve, convergence):
-        p.add_argument("--method", help="classical | conformable | caputo")
-    solve.add_argument("--h", help="step size")
-    solve.add_argument("--format", help="csv (default) or svg")
-    solve.add_argument("--marker-stride", dest="marker_stride",
-                       help="node stride between exact-solution markers (svg)")
-    convergence.add_argument("--h0", help="coarsest step size")
-    convergence.add_argument("--levels", help="number of halvings (>= 2)")
-    compare.add_argument("--h", help="step size")
-    compare.add_argument("--methods", help="comma-separated method list")
     return parser
-
-
-def _run_solve(args: argparse.Namespace) -> int:
-    merged = _resolve(
-        args,
-        ("problem", "method", "alpha", "h", "tau", "output", "format",
-         "marker_stride"),
-    )
-    tau = merged.get("tau")
-    stride = merged.get("marker_stride")
-    return cmd_solve(
-        problem_id=_require(merged, "problem"),
-        method=_require(merged, "method"),
-        alpha=_to_float("alpha", _require(merged, "alpha")),
-        h=_to_float("h", _require(merged, "h")),
-        tau=None if tau is None else _to_float("tau", tau),
-        output_path=_require(merged, "output"),
-        fmt=merged.get("format") or "csv",
-        marker_stride=DEFAULT_MARKER_STRIDE
-        if stride is None
-        else _to_int("marker-stride", stride),
-    )
-
-
-def _run_convergence(args: argparse.Namespace) -> int:
-    merged = _resolve(
-        args, ("problem", "method", "alpha", "tau", "h0", "levels", "output")
-    )
-    tau = merged.get("tau")
-    return cmd_convergence(
-        problem_id=_require(merged, "problem"),
-        method=_require(merged, "method"),
-        alpha=_to_float("alpha", _require(merged, "alpha")),
-        tau=None if tau is None else _to_float("tau", tau),
-        h0=_to_float("h0", _require(merged, "h0")),
-        levels=_to_int("levels", _require(merged, "levels")),
-        output_path=_require(merged, "output"),
-    )
-
-
-def _run_compare(args: argparse.Namespace) -> int:
-    merged = _resolve(args, ("problem", "alpha", "tau", "h", "methods", "output"))
-    tau = merged.get("tau")
-    methods = tuple(
-        m.strip() for m in _require(merged, "methods").split(",") if m.strip()
-    )
-    return cmd_compare(
-        problem_id=_require(merged, "problem"),
-        alpha=_to_float("alpha", _require(merged, "alpha")),
-        tau=None if tau is None else _to_float("tau", tau),
-        h=_to_float("h", _require(merged, "h")),
-        methods=methods,
-        output_path=_require(merged, "output"),
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -517,11 +480,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "list":
             return cmd_list()
-        if args.command == "solve":
-            return _run_solve(args)
-        if args.command == "convergence":
-            return _run_convergence(args)
-        return _run_compare(args)
+        run = {"solve": cmd_solve, "convergence": cmd_convergence,
+               "compare": cmd_compare}[args.command]
+        return run(**_options(args))
     except BlowUpError as exc:
         print(f"confrac: {exc}", file=sys.stderr)
         return EXIT_BLOWUP

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .core import Alpha, AlphaLike, UniformGrid, as_alpha, make_grid
 from .errors import DomainError, OrderUndefinedError
 from .solvers import (
-    CaputoProblem,
     InitialValueProblem,
     SolutionTrace,
     caputo_grid,
@@ -36,6 +36,9 @@ REL_ERROR_FLOOR = 1e-300
 
 #: solver identifiers accepted by :func:`solve_named`
 METHODS = ("classical", "conformable", "caputo")
+
+#: nodes converted to Python floats at a time by :func:`_exact_column`
+_SLICE = 4096
 
 
 def _checked_time(t: float) -> float:
@@ -131,29 +134,24 @@ class NamedProblem:
                 )
         return horizon
 
-    def _instance(self, kind, alpha: AlphaLike, horizon: float | None):
+    def problem(
+        self, alpha: AlphaLike, horizon: float | None = None
+    ) -> InitialValueProblem:
+        """Concrete problem at the given order and horizon, for any solver."""
         alpha = as_alpha(alpha)
         horizon = self._checked_horizon(alpha, horizon)
         a = alpha.value
         family = self.family
-        return kind(
+        return InitialValueProblem(
             rhs=lambda t, y: family(t, y, a),
             y0=self.y0,
             horizon=horizon,
             order=alpha,
         )
 
-    def problem(
-        self, alpha: AlphaLike, horizon: float | None = None
-    ) -> InitialValueProblem:
-        """Concrete conformable problem at the given order and horizon."""
-        return self._instance(InitialValueProblem, alpha, horizon)
-
-    def caputo_problem(
-        self, alpha: AlphaLike, horizon: float | None = None
-    ) -> CaputoProblem:
-        """Same right-hand side read as a Caputo problem."""
-        return self._instance(CaputoProblem, alpha, horizon)
+    # the same method under a second name: benchmarks/traced.py wraps it
+    # to time the problem builds of Caputo runs apart from the others
+    caputo_problem = problem
 
 
 _REGISTRY: tuple[NamedProblem, ...] = (
@@ -275,6 +273,17 @@ def method_grid(
     return grid
 
 
+def _exact_column(exact, alpha: Alpha, times: np.ndarray) -> np.ndarray:
+    """The closed form at every node, one call per node, as a float64 array.
+
+    The nodes are converted to Python floats ``_SLICE`` at a time, so no
+    list as long as the grid is built.
+    """
+    nodes = chain.from_iterable(times[lo:lo + _SLICE].tolist()
+                                for lo in range(0, len(times), _SLICE))
+    return np.fromiter((exact(t, alpha) for t in nodes), float, len(times))
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     """Absolute/relative error summary of one trace against an exact solution."""
@@ -295,9 +304,7 @@ def error_report(
     The endpoint relative error divides by |exact| at the final node,
     floored at ``REL_ERROR_FLOOR`` so exact zeros cannot blow the ratio up.
     """
-    alpha = as_alpha(alpha)
-    times = trace.times()
-    reference = np.array([exact(float(t), alpha) for t in times])
+    reference = _exact_column(exact, as_alpha(alpha), trace.times())
     abs_err = np.abs(trace.values - reference)
     denom = max(abs(float(reference[-1])), REL_ERROR_FLOOR)
     return ErrorReport(

@@ -66,7 +66,10 @@ class InitialValueProblem:
     """``T_a y = rhs(t, y)`` on [0, horizon] with ``y(0) = y0``.
 
     ``order`` is the order of the conformable derivative ``T_a``; with
-    ``order == 1`` this is a plain first-order ODE.
+    ``order == 1`` this is a plain first-order ODE.  :func:`solve_caputo_pc`
+    reads the same problem with the Caputo derivative ``D_a`` in place of
+    ``T_a``; an order in (0, 1] lets the single initial value fix the
+    solution's Taylor head there too.
     """
 
     rhs: RightHandSide
@@ -79,15 +82,6 @@ class InitialValueProblem:
             raise DomainError(f"initial value must be finite, got {self.y0!r}")
         if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon!r}")
-
-
-@dataclass(frozen=True)
-class CaputoProblem(InitialValueProblem):
-    """``D_a y = rhs(t, y)`` (Caputo) on [0, horizon] with ``y(0) = y0``.
-
-    Restricted to order in (0, 1], where the single initial value fixes
-    the solution's Taylor head.  Fields and validation are inherited.
-    """
 
 
 @dataclass(frozen=True)
@@ -470,7 +464,7 @@ def _spread(kernels, rect, trap, slopes, far_p, far_c, end, width):
 
 
 def solve_caputo_pc(
-    problem: CaputoProblem,
+    problem: InitialValueProblem,
     h: float,
     corrector_iterations: int = 1,
 ) -> SolutionTrace:

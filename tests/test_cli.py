@@ -1,6 +1,9 @@
+import argparse
+import dataclasses
 import hashlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -119,6 +122,33 @@ def test_solve_svg_marker_stride(tmp_path):
         "--output", str(out), "--format", "svg", "--marker-stride", "200",
     )
     assert out.read_text().count("<circle") == 12  # 11 markers + legend
+
+
+def test_csv_lets_the_trace_go_before_the_closed_form(tmp_path, monkeypatch):
+    # the CSV reads only times and values, so the trace, predictors and
+    # all, must be freed before the closed-form column is filled
+    refs, alive = [], []
+    solve_named = cli.solve_named
+    named = problems.get_problem("example1")
+
+    def watched_solve(*args):
+        trace = solve_named(*args)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    def watched_exact(t, alpha):
+        alive.append(refs[0]() is not None)
+        return named.exact(t, alpha)
+
+    monkeypatch.setattr(cli, "solve_named", watched_solve)
+    monkeypatch.setattr(cli, "get_problem", lambda problem_id: dataclasses.replace(
+        named, exact=watched_exact))
+    assert run_cli(
+        "solve", "--problem", "example1", "--method", "conformable",
+        "--alpha", "0.5", "--h", "0.01", "--tau", "1",
+        "--output", str(tmp_path / "run.csv"),
+    ) == 0
+    assert len(alive) == 101 and not any(alive)
 
 
 # ---------------------------------------------------------------- convergence
@@ -308,7 +338,8 @@ def test_unwritable_output_path(tmp_path):
 
 
 def test_caputo_node_ceiling_exit_code(tmp_path, capsys):
-    # inside MAX_NODES, but hours of O(n**2) Caputo work: refused at once
+    # inside MAX_NODES, but past the Caputo ceiling, which bounds the
+    # solver's whole-grid tables and sums: refused before any work
     out = str(tmp_path / "x.csv")
     assert run_cli(
         "solve", "--problem", "example1", "--method", "caputo",
@@ -425,3 +456,100 @@ def test_spec_file_errors(tmp_path, capsys):
     ) == 2
     err = capsys.readouterr().err
     assert "missing.spec" in err
+
+
+@pytest.mark.parametrize("command,spec,flags", [
+    ("convergence",
+     {"problem": "example1", "method": "conformable", "alpha": "0.5",
+      "tau": "2", "h0": "0.04", "levels": "3"},
+     {"levels": "5", "method": "classical", "alpha": "1"}),
+    ("compare",
+     {"problem": "example1", "alpha": "0.5", "tau": "1", "h": "0.01",
+      "methods": "conformable, caputo"},
+     {"methods": "classical,conformable", "alpha": "1"}),
+])
+def test_spec_file_merge_and_override_equal_flags(command, spec, flags, tmp_path):
+    manifest = tmp_path / "run.spec"
+    manifest.write_text("".join(f"{key} = {value}\n" for key, value in spec.items()))
+    outputs = []
+    for argv in (["--spec", str(manifest)],
+                 ["--spec", str(manifest)]
+                 + [arg for key, value in flags.items() for arg in (f"--{key}", value)],
+                 [arg for key, value in {**spec, **flags}.items()
+                  for arg in (f"--{key}", value)]):
+        out = tmp_path / f"{len(outputs)}.csv"
+        assert run_cli(command, *argv, "--output", str(out)) == 0
+        outputs.append(out.read_bytes())
+    spec_only, merged, all_flags = outputs
+    # the flags override the file, and the rest of the file still applies
+    assert merged != spec_only
+    assert merged == all_flags
+
+
+# ---------------------------------------------------------------- option table
+
+_SHARED_FLAGS = {
+    "--problem": "built-in problem id",
+    "--alpha": "fractional order in (0, 1]",
+    "--tau": "horizon (problem default when omitted)",
+    "--output": "output file path",
+    "--spec": "key = value manifest; flags override it",
+}
+
+#: each subcommand's help and its flags with their help strings
+_SUBCOMMANDS = {
+    "list": ("list built-in problems", {}),
+    "solve": ("run one solve and write CSV or SVG", {
+        **_SHARED_FLAGS,
+        "--method": "classical | conformable | caputo",
+        "--h": "step size",
+        "--format": "csv (default) or svg",
+        "--marker-stride": "node stride between exact-solution markers (svg)",
+    }),
+    "convergence": ("step-halving error sweep to CSV", {
+        **_SHARED_FLAGS,
+        "--method": "classical | conformable | caputo",
+        "--h0": "coarsest step size",
+        "--levels": "number of halvings (>= 2)",
+    }),
+    "compare": ("side-by-side methods to CSV", {
+        **_SHARED_FLAGS,
+        "--h": "step size",
+        "--methods": "comma-separated method list",
+    }),
+}
+
+
+def test_subcommand_flags_and_help_are_pinned():
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    summaries = {a.dest: a.help for a in sub._choices_actions}
+    assert list(sub.choices) == list(_SUBCOMMANDS)
+    for command, (summary, flags) in _SUBCOMMANDS.items():
+        actions = sub.choices[command]._actions
+        assert summaries[command] == summary
+        assert {a.option_strings[0]: a.help for a in actions
+                if a.dest != "help"} == flags, command
+
+
+@pytest.mark.parametrize("argv,spec,message", [
+    (["solve", "--method", "conformable", "--alpha", "0.5"], "",
+     "missing required option --h"),
+    (["solve", "--method", "conformable", "--alpha", "half", "--h", "0.01"], "",
+     "--alpha expects a number, got 'half'"),
+    (["solve", "--method", "conformable", "--h", "0.01"], "alpha = half\n",
+     "--alpha expects a number, got 'half'"),
+    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
+      "--marker-stride", "1.5"], "", "--marker-stride expects an integer, got '1.5'"),
+    (["convergence", "--method", "conformable", "--alpha", "0.5", "--h0", "0.04",
+      "--levels", "five"], "", "--levels expects an integer, got 'five'"),
+    (["compare", "--alpha", "0.5", "--h", "0.01"], "",
+     "missing required option --methods"),
+])
+def test_option_error_messages(argv, spec, message, tmp_path, capsys):
+    manifest = tmp_path / "run.spec"
+    manifest.write_text("problem = example1\ntau = 1\n" + spec)
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--spec", str(manifest), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"confrac: {message}\n"
+    assert not out.exists()

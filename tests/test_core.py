@@ -3,6 +3,7 @@ import math
 import pytest
 
 import confrac as cf
+from confrac.core import as_alpha
 from confrac.errors import AlphaRangeError, DomainError, GridError
 
 
@@ -21,8 +22,8 @@ def test_make_alpha_rejects_out_of_range(bad):
 
 def test_as_alpha_passes_instances_through():
     a = cf.Alpha(0.5)
-    assert cf.as_alpha(a) is a
-    assert cf.as_alpha(0.25).value == 0.25
+    assert as_alpha(a) is a
+    assert as_alpha(0.25).value == 0.25
 
 
 def test_alpha_is_immutable():

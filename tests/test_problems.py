@@ -144,7 +144,7 @@ def test_refinement_rejects_oversized_ladder_before_solving():
 
     named = cf.NamedProblem(
         id="probe", description="d", equation="e", solution="s", y0=1.0,
-        family=probe, exact=cf.exact_example1,
+        family=probe, exact=cf.get_problem("example1").exact,
     )
     for levels in (40, 5000):
         with pytest.raises(GridError):
@@ -191,3 +191,10 @@ def test_expkernel_exact_is_eigenfunction():
     a = 0.5
     for t in (0.25, 0.5, 1.0, 2.0):
         assert named.exact(t, a) == pytest.approx(math.exp(t**a / a), rel=1e-15)
+
+
+def test_caputo_problem_is_the_one_problem_builder():
+    # one problem type serves all three solvers; the second name is an alias
+    assert cf.NamedProblem.caputo_problem is cf.NamedProblem.problem
+    named = cf.get_problem("example1")
+    assert type(named.caputo_problem(0.5, 2.0)) is cf.InitialValueProblem

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import confrac as cf
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Every public name, spelled out: a change to the package's surface shows
 # up here as a diff line.
@@ -7,7 +12,6 @@ PUBLIC_NAMES = [
     "AlphaRangeError",
     "BLOWUP_LIMIT",
     "BlowUpError",
-    "CaputoProblem",
     "ConformablePcState",
     "ConfracError",
     "DomainError",
@@ -16,10 +20,8 @@ PUBLIC_NAMES = [
     "InitialValueProblem",
     "NamedProblem",
     "OrderUndefinedError",
-    "ScalarFunction",
     "SolutionTrace",
     "UniformGrid",
-    "as_alpha",
     "builtin_problems",
     "caputo_weights",
     "conformable_derivative_numeric",
@@ -27,10 +29,6 @@ PUBLIC_NAMES = [
     "conformable_step",
     "empirical_order",
     "error_report",
-    "exact_example1",
-    "exact_example2",
-    "exact_example3",
-    "exact_expkernel",
     "gamma",
     "get_problem",
     "initial_conformable_state",
@@ -54,3 +52,10 @@ PUBLIC_NAMES = [
 def test_public_surface_is_pinned():
     assert sorted(cf.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(cf, name)] == []
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -14,12 +14,6 @@ def _ivp(rhs, y0, horizon, order):
     )
 
 
-def _caputo(rhs, y0, horizon, order):
-    return cf.CaputoProblem(
-        rhs=rhs, y0=y0, horizon=horizon, order=cf.Alpha(order)
-    )
-
-
 # ---------------------------------------------------------------- classical scheme
 
 
@@ -190,7 +184,7 @@ def test_monotone_refinement_conformable():
 
 
 def test_monotone_refinement_caputo_against_fine_reference():
-    problem = cf.get_problem("example1").caputo_problem(0.5, 2.0)
+    problem = cf.get_problem("example1").problem(0.5, 2.0)
     reference = cf.solve_caputo_pc(problem, 0.04 / 2**6)
     errors = []
     for level in range(5):
@@ -203,13 +197,13 @@ def test_monotone_refinement_caputo_against_fine_reference():
 
 
 def test_caputo_zero_rhs_stays_constant():
-    trace = cf.solve_caputo_pc(_caputo(lambda t, y: 0.0, 2.5, 1.0, 0.5), 0.125)
+    trace = cf.solve_caputo_pc(_ivp(lambda t, y: 0.0, 2.5, 1.0, 0.5), 0.125)
     assert np.all(trace.values == 2.5)
 
 
 def test_caputo_constant_rhs_matches_power_law():
     # D^0.5 y = 1, y(0) = 0 has solution 2*sqrt(t/pi)
-    trace = cf.solve_caputo_pc(_caputo(lambda t, y: 1.0, 0.0, 1.0, 0.5), 0.01)
+    trace = cf.solve_caputo_pc(_ivp(lambda t, y: 1.0, 0.0, 1.0, 0.5), 0.01)
     t = trace.times()
     expected = 2.0 * np.sqrt(t / math.pi)
     assert float(np.max(np.abs(trace.values - expected))) < 1e-12
@@ -270,7 +264,7 @@ def _abm_oracle(problem, h, corrector_iterations=1):
 @pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
 def test_caputo_solver_matches_weight_vector_oracle(a):
     # h = 1/400 on [0, 2] runs past index 128, where the series path starts
-    problem = cf.get_problem("example1").caputo_problem(a, 2.0)
+    problem = cf.get_problem("example1").problem(a, 2.0)
     trace = cf.solve_caputo_pc(problem, 1 / 400)
     values, predictors = _abm_oracle(problem, 1 / 400)
     assert np.array_equal(trace.values, values)
@@ -289,7 +283,7 @@ _RECURSION_GAP = 4e-15
 def test_caputo_recursive_history_matches_oracle(a, nodes, iterations):
     # past one 1,024-step leaf the far-field sums come from FFT blocks;
     # from 4,097 nodes on, blocks are also cut into several FFT chunks
-    problem = cf.get_problem("example1").caputo_problem(a, 2.0)
+    problem = cf.get_problem("example1").problem(a, 2.0)
     h = 2.0 / (nodes - 1)
     trace = cf.solve_caputo_pc(problem, h, iterations)
     values, predictors = _abm_oracle(problem, h, iterations)
@@ -301,9 +295,9 @@ def test_caputo_node_values_do_not_depend_on_horizon():
     # the kernels never read past the coefficient tables, so a run cut short
     # reproduces the longer run's nodes bit for bit
     h = 2.0 / 25600
-    full = cf.solve_caputo_pc(cf.get_problem("example1").caputo_problem(0.5, 2.0), h)
+    full = cf.solve_caputo_pc(cf.get_problem("example1").problem(0.5, 2.0), h)
     for nodes in (1025, 2049, 3000, 4097, 16385, 20000):
-        problem = cf.get_problem("example1").caputo_problem(0.5, (nodes - 1) * h)
+        problem = cf.get_problem("example1").problem(0.5, (nodes - 1) * h)
         trace = cf.solve_caputo_pc(problem, h)
         assert trace.grid.node_count == nodes
         assert np.array_equal(trace.values, full.values[:nodes])
@@ -319,15 +313,16 @@ def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
     assert cf.solvers.caputo_grid(1.0, 1 / (ceiling - 1)).node_count == ceiling
     with pytest.raises(GridError, match="Caputo"):
         cf.solvers.caputo_grid(1.0, 1 / ceiling)
-    # 5,000,001 nodes: inside MAX_NODES, hours of Caputo work
+    # 5,000,001 nodes: inside MAX_NODES, five times the ceiling on the
+    # Caputo solver's whole-grid tables and far-field sums
     with pytest.raises(GridError, match="Caputo"):
-        cf.solve_caputo_pc(_caputo(lambda t, y: y, 1.0, 2.0, 0.5), 4e-7)
+        cf.solve_caputo_pc(_ivp(lambda t, y: y, 1.0, 2.0, 0.5), 4e-7)
 
 
 def test_caputo_alpha_one_matches_classical_for_time_only_rhs():
     # with f independent of y both schemes are the cumulative trapezoid rule
     rhs = lambda t, y: math.cos(t)
-    caputo = cf.solve_caputo_pc(_caputo(rhs, 0.0, 2.0, 1.0), 0.01)
+    caputo = cf.solve_caputo_pc(_ivp(rhs, 0.0, 2.0, 1.0), 0.01)
     classical = cf.solve_classical_pc(_ivp(rhs, 0.0, 2.0, 1.0), 0.01)
     assert float(np.max(np.abs(caputo.values - classical.values))) < 1e-13
 
@@ -375,12 +370,12 @@ def test_conformable_blow_up_past_first_block_reports_location():
 
 def test_caputo_blow_up_reports_location():
     # D^0.5 y = y^2, y(0) = 1 blows up in finite time
-    problem = _caputo(lambda t, y: y * y, 1.0, 2.0, 0.5)
+    problem = _ivp(lambda t, y: y * y, 1.0, 2.0, 0.5)
     with pytest.raises(BlowUpError) as info:
         cf.solve_caputo_pc(problem, 0.01)
     exc = info.value
     trace = cf.solve_caputo_pc(
-        _caputo(lambda t, y: y * y, 1.0, (exc.step_index - 1) * 0.01, 0.5), 0.01
+        _ivp(lambda t, y: y * y, 1.0, (exc.step_index - 1) * 0.01, 0.5), 0.01
     )
     assert exc.t == exc.step_index * 0.01
     assert exc.last_value == trace.endpoint
@@ -393,19 +388,19 @@ def test_caputo_blow_up_past_first_leaf_reports_location():
     square = lambda t, y: y * y
     h = 1e-4
     with pytest.raises(BlowUpError) as info:
-        cf.solve_caputo_pc(_caputo(square, 1.0, 0.5, 0.5), h)
+        cf.solve_caputo_pc(_ivp(square, 1.0, 0.5, 0.5), h)
     exc = info.value
     step = exc.step_index
     assert step > 1024
     assert exc.t == step * h
     # the O(n) oracle first leaves the limit at the same step
-    values, predictors = _abm_oracle(_caputo(square, 1.0, step * h, 0.5), h)
+    values, predictors = _abm_oracle(_ivp(square, 1.0, step * h, 0.5), h)
     last = max(abs(values[-1]), abs(predictors[-1]))
     assert np.max(np.abs(values[:-1])) <= cf.BLOWUP_LIMIT < last
     assert np.max(np.abs(predictors[:-1])) <= cf.BLOWUP_LIMIT
     # last_value is node step - 1 of this run; next to the blow-up the
     # oracle gap grows to 1.6e-12 relative
-    trace = cf.solve_caputo_pc(_caputo(square, 1.0, (step - 1) * h, 0.5), h)
+    trace = cf.solve_caputo_pc(_ivp(square, 1.0, (step - 1) * h, 0.5), h)
     assert exc.last_value == trace.endpoint
     assert exc.last_value == pytest.approx(values[-2], rel=1e-11)
     assert f"blew up at step {step} " in str(exc)
@@ -441,7 +436,7 @@ def test_blow_up_guard_parity(y0, bad):
     reports = [_stepped_blow_up(problem, h)]
     for solve, p in ((cf.solve_conformable_pc, problem),
                      (cf.solve_conformable_pc_direct, problem),
-                     (cf.solve_caputo_pc, _caputo(rhs, y0, 2.0, 0.5))):
+                     (cf.solve_caputo_pc, _ivp(rhs, y0, 2.0, 0.5))):
         with pytest.raises(BlowUpError) as info:
             solve(p, h)
         exc = info.value
@@ -456,7 +451,7 @@ def test_iterates_at_blow_up_limit_are_accepted(y0):
     traces = [
         cf.solve_conformable_pc(_ivp(zero, y0, 2.0, 0.5), 0.25),
         cf.solve_conformable_pc_direct(_ivp(zero, y0, 2.0, 0.5), 0.25),
-        cf.solve_caputo_pc(_caputo(zero, y0, 2.0, 0.5), 0.25),
+        cf.solve_caputo_pc(_ivp(zero, y0, 2.0, 0.5), 0.25),
         cf.solve_classical_pc(_ivp(zero, y0, 2.0, 1.0), 0.25),
     ]
     for trace in traces:
@@ -475,7 +470,7 @@ def test_problem_validation():
     with pytest.raises(DomainError):
         _ivp(lambda t, y: y, math.nan, 1.0, 0.5)
     with pytest.raises(DomainError):
-        _caputo(lambda t, y: y, 1.0, -2.0, 0.5)
+        _ivp(lambda t, y: y, 1.0, -2.0, 0.5)
 
 
 def test_trace_validation():
