@@ -17,7 +17,7 @@ import math
 import sys
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .problems import (
     refinement_errors,
     solve_named,
 )
-from .solvers import SolutionTrace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,30 +114,24 @@ def _tick_label(value: float) -> str:
 
 
 def write_svg(
-    trace: SolutionTrace,
-    exact: Callable[[float], float] | None,
+    times: np.ndarray,
+    values: np.ndarray,
+    markers: np.ndarray,
     path: str,
-    marker_stride: int = DEFAULT_MARKER_STRIDE,
+    marker_stride: int,
 ) -> None:
-    """Render a trace as a static 800x600 SVG.
+    """Render a solution column as a static 800x600 SVG.
 
-    The numeric solution is a polyline; the exact solution, when a sampler
-    is given, appears as hollow circles at every ``marker_stride``-th node,
-    matching the sparse-marker figure style.  Markers and axes are computed
-    first; the polyline's pixels are then computed and written ``_CHUNK``
-    points at a time, so no string or list as long as the grid is built.
+    ``values`` at the nodes ``times`` is drawn as a polyline; ``markers``,
+    the exact solution at ``times[::marker_stride]`` (``marker_stride >=
+    1``), appears as hollow circles, matching the sparse-marker figure
+    style.  Markers and axes are computed first; the polyline's pixels are
+    then computed and written ``_CHUNK`` points at a time, so no string or
+    list as long as the grid is built.
     """
-    if marker_stride < 1:
-        raise ValueError(f"marker stride must be >= 1, got {marker_stride}")
-    times = trace.times()
-    values = trace.values
-    marker_points: list[tuple[float, float]] = []
-    if exact is not None:
-        for i in range(0, len(times), marker_stride):
-            marker_points.append((float(times[i]), float(exact(float(times[i])))))
-
+    marker_ys = markers.tolist()
+    marker_points = list(zip(times[::marker_stride].tolist(), marker_ys))
     x_lo, x_hi = float(times[0]), float(times[-1])
-    marker_ys = [y for _, y in marker_points]
     y_lo = min([float(values.min())] + marker_ys)
     y_hi = max([float(values.max())] + marker_ys)
     x_pad = 0.05 * (x_hi - x_lo) if x_hi > x_lo else 0.5
@@ -218,15 +211,14 @@ def write_svg(
         f'<text x="{legend_x + 36}" y="{legend_y + 4}" {font}>'
         f"Numerical solution</text>"
     )
-    if marker_points:
-        tail.append(
-            f'<circle cx="{legend_x + 14}" cy="{legend_y + 20}" r="4" '
-            f'fill="none" stroke="{_MARKER_COLOR}" stroke-width="1.2"/>'
-        )
-        tail.append(
-            f'<text x="{legend_x + 36}" y="{legend_y + 24}" {font}>'
-            f"Exact solution</text>"
-        )
+    tail.append(
+        f'<circle cx="{legend_x + 14}" cy="{legend_y + 20}" r="4" '
+        f'fill="none" stroke="{_MARKER_COLOR}" stroke-width="1.2"/>'
+    )
+    tail.append(
+        f'<text x="{legend_x + 36}" y="{legend_y + 24}" {font}>'
+        f"Exact solution</text>"
+    )
     tail.append("</svg>")
 
     point = "%.2f,%.2f".__mod__
@@ -272,34 +264,25 @@ def cmd_solve(
     format: str = "csv",
     marker_stride: int = DEFAULT_MARKER_STRIDE,
 ) -> int:
-    """Run one solve and write its trace as CSV or SVG."""
+    """Run one solve and write its nodes, values and closed form as CSV or SVG."""
     if format not in ("csv", "svg"):
         raise ValueError(f"format must be csv or svg, got {format!r}")
     if marker_stride < 1:
         raise ValueError(f"marker stride must be >= 1, got {marker_stride}")
     named = get_problem(problem)
     alpha = as_alpha(alpha)
-    trace = solve_named(named, method, alpha, h, tau)
-    if format == "svg":
-        sampler = None
-        if named.exact is not None:
-            exact = named.exact
-            sampler = lambda t: exact(t, alpha)  # noqa: E731
-        write_svg(trace, sampler, output, marker_stride)
-        return EXIT_OK
-    # the CSV reads only times and values: the rest of the trace, its
+    # both formats read only times and values: the rest of the trace, its
     # predictors included, is let go before the closed form is sampled
+    trace = solve_named(named, method, alpha, h, tau)
     times, values = trace.times(), trace.values
     del trace
-    if named.exact is not None:
-        header = ["t", "y_num", "y_exact", "abs_err"]
-        columns = times, values, _exact_column(named.exact, alpha, times)
-        rows = ((t, y, ref, abs(y - ref))
-                for t, y, ref in zip(*map(_floats, columns)))
-    else:
-        header = ["t", "y_num"]
-        rows = zip(_floats(times), _floats(values))
-    write_csv((header, rows), output)
+    if format == "svg":
+        markers = _exact_column(named.exact, alpha, times[::marker_stride])
+        write_svg(times, values, markers, output, marker_stride)
+        return EXIT_OK
+    columns = times, values, _exact_column(named.exact, alpha, times)
+    rows = ((t, y, ref, abs(y - ref)) for t, y, ref in zip(*map(_floats, columns)))
+    write_csv((["t", "y_num", "y_exact", "abs_err"], rows), output)
     return EXIT_OK
 
 
@@ -338,15 +321,13 @@ def cmd_compare(
         raise ValueError(f"duplicate method in {','.join(methods)}")
     named = get_problem(problem)
     alpha = as_alpha(alpha)
-    for m in methods:
-        method_grid(named, m, alpha, tau, h)
-    traces = [solve_named(named, m, alpha, h, tau) for m in methods]
-    header = ["t"] + [f"y_{m}" for m in methods]
-    times = traces[0].times()
-    columns = [times] + [trace.values for trace in traces]
-    if named.exact is not None:
-        header.append("y_exact")
-        columns.append(_exact_column(named.exact, alpha, times))
+    grids = [method_grid(named, m, alpha, tau, h) for m in methods]
+    # only the values are written: each trace, predictors included, is let
+    # go as soon as its run returns
+    values = [solve_named(named, m, alpha, h, tau).values for m in methods]
+    times = grids[0].nodes()
+    header = ["t", *(f"y_{m}" for m in methods), "y_exact"]
+    columns = [times, *values, _exact_column(named.exact, alpha, times)]
     write_csv((header, zip(*map(_floats, columns))), output)
     return EXIT_OK
 

@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
 import hashlib
+import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,13 @@ from confrac import cli, problems
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _child_env():
+    """The caller's environment with this checkout's ``src`` first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 # ---------------------------------------------------------------- list
@@ -36,7 +45,7 @@ def test_list_is_byte_stable(capsys):
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "confrac.cli", "list"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "example2" in proc.stdout
@@ -63,7 +72,7 @@ def test_only_long_caputo_runs_load_fft(argv, loads_fft, tmp_path):
         argv = argv + ["--problem", "example1", "--tau", "2", "--h", "0.001",
                        "--output", str(tmp_path / "run.csv")]
     proc = subprocess.run([sys.executable, "-c", _FFT_PROBE, *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == str(loads_fft)
 
@@ -124,9 +133,17 @@ def test_solve_svg_marker_stride(tmp_path):
     assert out.read_text().count("<circle") == 12  # 11 markers + legend
 
 
-def test_csv_lets_the_trace_go_before_the_closed_form(tmp_path, monkeypatch):
-    # the CSV reads only times and values, so the trace, predictors and
-    # all, must be freed before the closed-form column is filled
+@pytest.mark.parametrize("argv,exact_calls", [
+    (["solve", "--method", "conformable"], 101),
+    (["solve", "--method", "conformable", "--format", "svg",
+      "--marker-stride", "7"], 15),
+    (["compare", "--methods", "conformable,caputo"], 101),
+], ids=["solve-csv", "solve-svg", "compare"])
+def test_csv_lets_the_trace_go_before_the_closed_form(
+    argv, exact_calls, tmp_path, monkeypatch
+):
+    # every output reads only times and values, so each trace, predictors
+    # and all, must be freed before the closed form is sampled
     refs, alive = [], []
     solve_named = cli.solve_named
     named = problems.get_problem("example1")
@@ -137,18 +154,18 @@ def test_csv_lets_the_trace_go_before_the_closed_form(tmp_path, monkeypatch):
         return trace
 
     def watched_exact(t, alpha):
-        alive.append(refs[0]() is not None)
+        alive.append(any(ref() is not None for ref in refs))
         return named.exact(t, alpha)
 
     monkeypatch.setattr(cli, "solve_named", watched_solve)
     monkeypatch.setattr(cli, "get_problem", lambda problem_id: dataclasses.replace(
         named, exact=watched_exact))
     assert run_cli(
-        "solve", "--problem", "example1", "--method", "conformable",
-        "--alpha", "0.5", "--h", "0.01", "--tau", "1",
-        "--output", str(tmp_path / "run.csv"),
+        *argv, "--problem", "example1", "--alpha", "0.5", "--h", "0.01",
+        "--tau", "1", "--output", str(tmp_path / "run.out"),
     ) == 0
-    assert len(alive) == 101 and not any(alive)
+    assert len(refs) == (2 if argv[0] == "compare" else 1)
+    assert len(alive) == exact_calls and not any(alive)
 
 
 # ---------------------------------------------------------------- convergence
@@ -328,13 +345,18 @@ def test_no_arguments_prints_usage(capsys):
     assert "usage" in (captured.out + captured.err).lower()
 
 
-def test_unwritable_output_path(tmp_path):
-    missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
-    assert run_cli(
-        "solve", "--problem", "example1", "--method", "conformable",
-        "--alpha", "0.5", "--h", "0.01", "--tau", "1",
-        "--output", str(missing_dir),
-    ) == 2
+def test_unwritable_output_path(tmp_path, capsys):
+    for fmt in ("csv", "svg"):
+        missing_dir = tmp_path / "no" / "such" / "dir" / f"x.{fmt}"
+        assert run_cli(
+            "solve", "--problem", "example1", "--method", "conformable",
+            "--alpha", "0.5", "--h", "0.01", "--tau", "1", "--format", fmt,
+            "--output", str(missing_dir),
+        ) == 2
+        # reported as one line by the writer, not as a traceback
+        err = capsys.readouterr().err
+        assert err.startswith(f"confrac: cannot write {str(missing_dir)!r}: ")
+        assert err.count("\n") == 1
 
 
 def test_caputo_node_ceiling_exit_code(tmp_path, capsys):
@@ -545,6 +567,11 @@ def test_subcommand_flags_and_help_are_pinned():
       "--levels", "five"], "", "--levels expects an integer, got 'five'"),
     (["compare", "--alpha", "0.5", "--h", "0.01"], "",
      "missing required option --methods"),
+    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
+      "--format", "pdf"], "", "format must be csv or svg, got 'pdf'"),
+    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
+      "--format", "svg", "--marker-stride", "0"], "",
+     "marker stride must be >= 1, got 0"),
 ])
 def test_option_error_messages(argv, spec, message, tmp_path, capsys):
     manifest = tmp_path / "run.spec"

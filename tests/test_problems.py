@@ -22,6 +22,13 @@ def test_exact_solutions_satisfy_initial_value(pid, a):
     assert named.exact(0.0, a) == pytest.approx(named.y0, abs=1e-15)
 
 
+def test_every_builtin_has_a_closed_form():
+    # the CLI takes only built-in ids, and writes a y_exact column and
+    # exact-solution markers for each of them unconditionally
+    for named in cf.builtin_problems():
+        assert callable(named.exact), named.id
+
+
 def test_example3_closed_form_values():
     named = cf.get_problem("example3")
     assert named.exact(1.0, 0.5) == 0.5
