@@ -46,12 +46,9 @@ from .quadrature import (
 )
 from .solvers import (
     BLOWUP_LIMIT,
-    ConformablePcState,
     InitialValueProblem,
     SolutionTrace,
     caputo_weights,
-    conformable_step,
-    initial_conformable_state,
     solve_caputo_pc,
     solve_classical_pc,
     solve_conformable_pc,
@@ -65,7 +62,6 @@ __all__ = [
     "AlphaRangeError",
     "BLOWUP_LIMIT",
     "BlowUpError",
-    "ConformablePcState",
     "ConfracError",
     "DomainError",
     "ErrorReport",
@@ -79,12 +75,10 @@ __all__ = [
     "caputo_weights",
     "conformable_derivative_numeric",
     "conformable_integral_numeric",
-    "conformable_step",
     "empirical_order",
     "error_report",
     "gamma",
     "get_problem",
-    "initial_conformable_state",
     "integrate_rectangle",
     "integrate_trapezoid",
     "make_grid",

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .core import as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
     _exact_column,
+    _floats,
     builtin_problems,
     get_problem,
     halving_orders,
@@ -39,15 +39,9 @@ EXIT_BLOWUP = 3
 
 DEFAULT_MARKER_STRIDE = 90
 
-#: rows and polyline points are converted to Python floats this many at a
-#: time, so no list as long as the grid is ever held
+#: polyline points are computed and written this many at a time, so no
+#: string or list as long as the grid is ever held
 _CHUNK = 4096
-
-
-def _floats(column: np.ndarray):
-    """The entries of a float64 array as Python floats, ``_CHUNK`` at a time."""
-    return chain.from_iterable(column[lo:lo + _CHUNK].tolist()
-                               for lo in range(0, len(column), _CHUNK))
 
 
 def write_csv(table, path: str) -> None:

@@ -37,7 +37,7 @@ REL_ERROR_FLOOR = 1e-300
 #: solver identifiers accepted by :func:`solve_named`
 METHODS = ("classical", "conformable", "caputo")
 
-#: nodes converted to Python floats at a time by :func:`_exact_column`
+#: entries converted to Python floats at a time by :func:`_floats`
 _SLICE = 4096
 
 
@@ -273,15 +273,19 @@ def method_grid(
     return grid
 
 
-def _exact_column(exact, alpha: Alpha, times: np.ndarray) -> np.ndarray:
-    """The closed form at every node, one call per node, as a float64 array.
+def _floats(column: np.ndarray):
+    """The entries of a float64 array as Python floats.
 
-    The nodes are converted to Python floats ``_SLICE`` at a time, so no
-    list as long as the grid is built.
+    They are converted ``_SLICE`` at a time, so no list as long as the
+    array is built.
     """
-    nodes = chain.from_iterable(times[lo:lo + _SLICE].tolist()
-                                for lo in range(0, len(times), _SLICE))
-    return np.fromiter((exact(t, alpha) for t in nodes), float, len(times))
+    return chain.from_iterable(column[lo:lo + _SLICE].tolist()
+                               for lo in range(0, len(column), _SLICE))
+
+
+def _exact_column(exact, alpha: Alpha, times: np.ndarray) -> np.ndarray:
+    """The closed form at every node, one call per node, as a float64 array."""
+    return np.fromiter((exact(t, alpha) for t in _floats(times)), float, len(times))
 
 
 @dataclass(frozen=True)

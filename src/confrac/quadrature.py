@@ -12,10 +12,11 @@ smooth factor:
 
 Coefficients only depend on their own index, never on the grid length,
 which is what lets the solvers in :mod:`confrac.solvers` update running
-sums instead of re-summing history.  :func:`coefficient_tables` builds all
-three sequences for indices 0 .. n, and the conformable solver builds them
-block by block; the scalar functions evaluate single entries with the
-same arithmetic, so all three routes agree bit for bit.
+sums instead of re-summing history.  Every solver reads its coefficients
+from :func:`_coefficient_block`: the conformable solver block by block,
+the others through :func:`coefficient_tables`, its block for indices
+0 .. n.  The scalar functions are per-index lookups with the same
+arithmetic, pinned bit for bit to the blocks.
 
 Large indices need care: the naive second difference subtracts three
 nearly equal numbers of size ``j**(a + 1)`` and loses roughly ``j**2``
@@ -95,8 +96,12 @@ def rectangle_coefficient(j: int, alpha: AlphaLike) -> float:
     """Coefficient ``(j + 1)**a - j**a`` of the product rectangle rule.
 
     Adjacent powers of consecutive integers differ by less than a factor
-    of two, so by Sterbenz's lemma the subtraction itself is exact; no
-    stabilised path is needed.
+    of two, so by Sterbenz's lemma the subtraction itself is exact.  Each
+    power has already been rounded, though, and the difference is about
+    ``a / j`` times their size, so the relative error grows like
+    ``j * eps / a``: against 50-digit mpmath at a = 0.5 it is 1.1e-13 at
+    j = 1e3, 6.4e-13 at 1e5, 9.3e-11 at 1e6 and 1.6e-9 at 1e7 - 1.  The
+    ``expm1``/``log1p`` form that avoids this is ROADMAP item 2.
     """
     if j < 0:
         raise ValueError(f"coefficient index must be non-negative, got {j}")
@@ -200,11 +205,14 @@ def product_scales(a: float, h: float) -> tuple[float, float]:
     """Rectangle scale ``h**a / a`` and trapezoid scale ``h**a / (a * (a + 1))``.
 
     The trapezoid scale is computed as the rectangle scale over ``a + 1``;
-    the solvers' outputs are pinned bit for bit to that rounding.
+    the solvers' outputs are pinned bit for bit to that rounding.  An order
+    so small that ``h**a / a`` overflows raises :class:`DomainError`.
     """
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {h!r}")
     rect = h**a / a
+    if not math.isfinite(rect):
+        raise DomainError(f"scale h**a / a overflows at order {a!r}, step {h!r}")
     return rect, rect / (a + 1.0)
 
 

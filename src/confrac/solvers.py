@@ -35,9 +35,6 @@ from .quadrature import (
     coefficient_tables,
     gamma,
     product_scales,
-    rectangle_coefficient,
-    trapezoid_coefficient,
-    trapezoid_tail_coefficient,
 )
 
 #: a right-hand side f(t, y)
@@ -190,103 +187,6 @@ def solve_classical_pc(
                          method="classical")
 
 
-@dataclass(frozen=True)
-class ConformablePcState:
-    """Running sums that carry the conformable scheme's whole history.
-
-    After absorbing nodes 0 .. i, ``predictor_accumulator`` already equals
-    the predicted value at node i + 1 (initial value plus the scaled
-    rectangle-weighted sum of past slopes) and ``corrector_history`` holds
-    the initial value plus the scaled trapezoid-weighted sum of the same
-    slopes -- everything the corrector needs except its closing term.
-    """
-
-    predictor_accumulator: float
-    corrector_history: float
-    step_index: int
-
-
-def initial_conformable_state(
-    problem: InitialValueProblem,
-    grid: UniformGrid,
-) -> ConformablePcState:
-    """State after absorbing the initial node only."""
-    cte1, cte2 = product_scales(problem.order.value, grid.step)
-    f0 = problem.rhs(0.0, problem.y0)
-    # rectangle and trapezoid coefficients at index 0 are both 1
-    return ConformablePcState(
-        predictor_accumulator=problem.y0 + cte1 * f0,
-        corrector_history=problem.y0 + cte2 * f0,
-        step_index=0,
-    )
-
-
-def _conformable_run(accumulator, history, rhs, first_step, iterations,
-                     weights, values, predictors):
-    """Steps ``first_step``, ``first_step + 1``, ... from scaled weight tuples.
-
-    ``weights`` yields one ``(t, rect, trap, tail)`` tuple per step, ``t``
-    being the node's time.  The k-th step stores its corrected value in
-    ``values[k]`` and its predicted value in ``predictors[k]``; returns the
-    two running sums after the last step.
-    """
-    limit = BLOWUP_LIMIT
-    for k, (t_next, rect_weight, trap_weight, tail_weight) in enumerate(weights):
-        if not -limit <= accumulator <= limit:
-            raise BlowUpError(first_step + k, accumulator)
-        corrected = accumulator
-        for _ in range(iterations):
-            corrected = history + tail_weight * rhs(t_next, corrected)
-            if not -limit <= corrected <= limit:
-                raise BlowUpError(first_step + k, corrected)
-        f_next = rhs(t_next, corrected)
-        values[k] = corrected
-        predictors[k] = accumulator
-        accumulator += rect_weight * f_next
-        history += trap_weight * f_next
-    return accumulator, history
-
-
-def conformable_step(
-    state: ConformablePcState,
-    problem: InitialValueProblem,
-    grid: UniformGrid,
-    step_index: int,
-    corrector_iterations: int = 1,
-) -> tuple[ConformablePcState, float, float]:
-    """Advance the conformable scheme to ``step_index``.
-
-    Returns ``(new_state, corrected, predicted)`` where ``corrected``
-    approximates y at node ``step_index``.  The slope stored in the new
-    state is evaluated at the corrected value, so predictor and corrector
-    share one history.
-    """
-    if step_index != state.step_index + 1:
-        raise ValueError(
-            f"state has absorbed node {state.step_index}; "
-            f"cannot produce node {step_index}"
-        )
-    if step_index >= grid.node_count:
-        raise ValueError(
-            f"node {step_index} lies outside the grid "
-            f"(last node is {grid.node_count - 1})"
-        )
-    iterations = _checked_iterations(corrector_iterations)
-    cte1, cte2 = product_scales(problem.order.value, grid.step)
-    weights = (
-        grid.node(step_index),
-        cte1 * rectangle_coefficient(step_index, problem.order),
-        cte2 * trapezoid_coefficient(step_index, problem.order),
-        cte2 * trapezoid_tail_coefficient(step_index - 1, problem.order),
-    )
-    corrected, predicted = [0.0], [0.0]
-    sums = _conformable_run(
-        state.predictor_accumulator, state.corrector_history, problem.rhs,
-        step_index, iterations, (weights,), corrected, predicted,
-    )
-    return ConformablePcState(*sums, step_index), corrected[0], predicted[0]
-
-
 def solve_conformable_pc(
     problem: InitialValueProblem,
     h: float,
@@ -294,8 +194,16 @@ def solve_conformable_pc(
 ) -> SolutionTrace:
     """Product rectangle/trapezoid predictor-corrector run, O(1) per step.
 
-    The history lives in two running sums held in local floats, and the
-    steps run in blocks of ``_BLOCK``: each block builds its own scaled
+    The whole history lives in two running sums held in local floats.
+    After absorbing nodes 0 .. i, the predictor sum already equals the
+    predicted value at node i + 1 (initial value plus the scaled
+    rectangle-weighted sum of past slopes), and the corrector sum holds
+    the initial value plus the scaled trapezoid-weighted sum of the same
+    slopes -- everything the corrector needs except its closing term.
+    The slope added to both sums is evaluated at the corrected value, so
+    predictor and corrector share one history.
+
+    The steps run in blocks of ``_BLOCK``: each block builds its own scaled
     coefficients and node times, so besides ``values`` and ``predictors``
     nothing grows with the grid.  Within a block, steps run in one loop
     with no call per step besides the right-hand side.  The blow-up guard
@@ -305,23 +213,39 @@ def solve_conformable_pc(
     iterations = _checked_iterations(corrector_iterations)
     grid = make_grid(problem.horizon, h)
     a = problem.order.value
+    rhs, y0 = problem.rhs, problem.y0
     cte1, cte2 = product_scales(a, grid.step)
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
-    values[0] = problem.y0
-    state = initial_conformable_state(problem, grid)
-    sums = state.predictor_accumulator, state.corrector_history
+    values[0] = y0
+    # rectangle and trapezoid coefficients at index 0 are both 1
+    f0 = rhs(0.0, y0)
+    accumulator = y0 + cte1 * f0
+    history = y0 + cte2 * f0
+    limit = BLOWUP_LIMIT
     try:
         for lo in range(1, grid.node_count, _BLOCK):
             hi = min(lo + _BLOCK, grid.node_count)
             # step j takes rectangle and trapezoid entry j and closing
             # entry j - 1
             rect, trap, tail = _coefficient_block(lo - 1, hi, a)
-            weights = zip((grid.step * np.arange(lo, hi)).tolist(),
-                          (cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
-                          (cte2 * tail[:-1]).tolist())
-            sums = _conformable_run(*sums, problem.rhs, lo, iterations, weights,
-                                    values[lo:hi], predictors[lo - 1:hi - 1])
+            for step, t_next, rect_weight, trap_weight, tail_weight in zip(
+                range(lo, hi), (grid.step * np.arange(lo, hi)).tolist(),
+                (cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
+                (cte2 * tail[:-1]).tolist(),
+            ):
+                if not -limit <= accumulator <= limit:
+                    raise BlowUpError(step, accumulator)
+                corrected = accumulator
+                for _ in range(iterations):
+                    corrected = history + tail_weight * rhs(t_next, corrected)
+                    if not -limit <= corrected <= limit:
+                        raise BlowUpError(step, corrected)
+                f_next = rhs(t_next, corrected)
+                values[step] = corrected
+                predictors[step - 1] = accumulator
+                accumulator += rect_weight * f_next
+                history += trap_weight * f_next
     except BlowUpError as exc:
         raise _located(exc, grid, values) from None
     return SolutionTrace(grid=grid, values=values, predictors=predictors,

@@ -283,7 +283,10 @@ def test_chunk_length_does_not_change_bytes(command, tmp_path, monkeypatch):
         args += ["--methods", "conformable,caputo"]
     outputs = []
     for chunk in (cli._CHUNK, 7):
+        # SVG polyline chunks, and the float slices of the CSV columns and
+        # of the closed-form column
         monkeypatch.setattr(cli, "_CHUNK", chunk)
+        monkeypatch.setattr(problems, "_SLICE", chunk)
         out = tmp_path / f"{chunk}.out"
         assert run_cli(*args, "--output", str(out)) == 0
         outputs.append(out.read_bytes())
@@ -572,6 +575,10 @@ def test_subcommand_flags_and_help_are_pinned():
     (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
       "--format", "svg", "--marker-stride", "0"], "",
      "marker stride must be >= 1, got 0"),
+    (["solve", "--method", "conformable", "--alpha", "5e-324", "--h", "0.1"], "",
+     "scale h**a / a overflows at order 5e-324, step 0.1"),
+    (["convergence", "--method", "conformable", "--alpha", "1e-310", "--h0", "0.1",
+      "--levels", "3"], "", "scale h**a / a overflows at order 1e-310, step 0.1"),
 ])
 def test_option_error_messages(argv, spec, message, tmp_path, capsys):
     manifest = tmp_path / "run.spec"

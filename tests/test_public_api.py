@@ -12,7 +12,6 @@ PUBLIC_NAMES = [
     "AlphaRangeError",
     "BLOWUP_LIMIT",
     "BlowUpError",
-    "ConformablePcState",
     "ConfracError",
     "DomainError",
     "ErrorReport",
@@ -26,12 +25,10 @@ PUBLIC_NAMES = [
     "caputo_weights",
     "conformable_derivative_numeric",
     "conformable_integral_numeric",
-    "conformable_step",
     "empirical_order",
     "error_report",
     "gamma",
     "get_problem",
-    "initial_conformable_state",
     "integrate_rectangle",
     "integrate_trapezoid",
     "make_grid",

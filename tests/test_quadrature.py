@@ -195,6 +195,12 @@ def test_weight_scales():
     assert cf.trapezoid_weights(4, a).size == 6
     with pytest.raises(ValueError):
         product_scales(a, 0.0)
+    # h**a / a overflows: an error, not an inf that later reads as blow-up
+    for tiny in (5e-324, 1e-310):
+        with pytest.raises(DomainError, match="overflows"):
+            product_scales(tiny, 0.1)
+        with pytest.raises(DomainError, match="overflows"):
+            cf.integrate_rectangle([1.0, 1.0], 0.1, tiny)
 
 
 # ---------------------------------------------------------------- integration

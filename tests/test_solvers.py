@@ -69,57 +69,19 @@ def test_conformable_time_linear_rhs_exact(a):
 def test_conformable_first_step_formula():
     # y_1 = y0 + cte2 * (f(t0, y0) + a * f(t1, predicted))
     a, h, y0 = 0.5, 0.25, 1.0
-    problem = _ivp(lambda t, y: t * y, y0, 1.0, a)
-    grid = cf.make_grid(1.0, h)
-    state = cf.initial_conformable_state(problem, grid)
-    _, y1, yp1 = cf.conformable_step(state, problem, grid, 1)
+    trace = cf.solve_conformable_pc(_ivp(lambda t, y: t * y, y0, 1.0, a), h)
     cte1 = h**a / a
     cte2 = cte1 / (a + 1.0)
     f0 = 0.0 * y0
     predicted = y0 + cte1 * f0
-    assert yp1 == predicted
-    assert y1 == y0 + cte2 * (f0 + a * (h * predicted))
-
-
-def test_conformable_step_composition_matches_solver():
-    problem = _ivp(lambda t, y: t * y, 1.0, 1.0, 0.6)
-    # h = 1/512 takes the steps past index 128, where the series path starts
-    for h in (0.125, 1.0 / 512):
-        grid = cf.make_grid(1.0, h)
-        state = cf.initial_conformable_state(problem, grid)
-        values = [problem.y0]
-        for step in range(1, grid.node_count):
-            state, y, _ = cf.conformable_step(state, problem, grid, step)
-            values.append(y)
-        trace = cf.solve_conformable_pc(problem, h)
-        assert np.array_equal(np.array(values), trace.values), h
-
-
-def test_conformable_step_validates_sequence():
-    problem = _ivp(lambda t, y: y, 1.0, 1.0, 0.5)
-    grid = cf.make_grid(1.0, 0.25)
-    state = cf.initial_conformable_state(problem, grid)
-    with pytest.raises(ValueError):
-        cf.conformable_step(state, problem, grid, 2)  # skipped step 1
-    with pytest.raises(ValueError):
-        cf.conformable_step(state, problem, grid, 0)
-    state, _, _ = cf.conformable_step(state, problem, grid, 1)
-    state, _, _ = cf.conformable_step(state, problem, grid, 2)
-    state, _, _ = cf.conformable_step(state, problem, grid, 3)
-    state, _, _ = cf.conformable_step(state, problem, grid, 4)
-    with pytest.raises(ValueError):
-        cf.conformable_step(state, problem, grid, 5)  # past the last node
+    assert trace.predictors[0] == predicted
+    assert trace.values[1] == y0 + cte2 * (f0 + a * (h * predicted))
 
 
 def test_conformable_zero_rhs_keeps_state_at_y0():
-    problem = _ivp(lambda t, y: 0.0, 4.25, 1.0, 0.5)
-    grid = cf.make_grid(1.0, 0.25)
-    state = cf.initial_conformable_state(problem, grid)
-    for step in range(1, grid.node_count):
-        state, y, yp = cf.conformable_step(state, problem, grid, step)
-        assert y == 4.25 and yp == 4.25
-        assert state.predictor_accumulator == 4.25
-        assert state.corrector_history == 4.25
+    trace = cf.solve_conformable_pc(_ivp(lambda t, y: 0.0, 4.25, 1.0, 0.5), 0.25)
+    assert np.all(trace.values == 4.25)
+    assert np.all(trace.predictors == 4.25)
 
 
 def test_conformable_incremental_matches_direct_summation():
@@ -365,7 +327,11 @@ def test_conformable_blow_up_past_first_block_reports_location():
     assert fast.t == fast.step_index * h
     # the two routes sum the history in a different order
     assert fast.last_value == pytest.approx(direct.last_value, rel=1e-13)
-    assert (fast.step_index, fast.t, fast.last_value) == _stepped_blow_up(problem, h)
+    # last_value is node step - 1 of this run, bit for bit
+    trace = cf.solve_conformable_pc(
+        _ivp(lambda t, y: y, 1.0, (fast.step_index - 1) * h, 1.0), h
+    )
+    assert fast.last_value == trace.endpoint
 
 
 def test_caputo_blow_up_reports_location():
@@ -406,19 +372,6 @@ def test_caputo_blow_up_past_first_leaf_reports_location():
     assert f"blew up at step {step} " in str(exc)
 
 
-def _stepped_blow_up(problem, h):
-    """(step_index, t, last_value) where stepping with conformable_step stops."""
-    grid = cf.make_grid(problem.horizon, h)
-    state = cf.initial_conformable_state(problem, grid)
-    last = problem.y0
-    for step in range(1, grid.node_count):
-        try:
-            state, last, _ = cf.conformable_step(state, problem, grid, step)
-        except BlowUpError as exc:
-            return exc.step_index, grid.node(exc.step_index), last
-    raise AssertionError("conformable_step never blew up")
-
-
 @pytest.mark.parametrize("y0, bad", [
     (1.0, math.nan),
     (1.0, math.inf),
@@ -427,22 +380,24 @@ def _stepped_blow_up(problem, h):
     (cf.BLOWUP_LIMIT, 1.0),
     (-cf.BLOWUP_LIMIT, -1.0),
 ])
-def test_blow_up_guard_parity(y0, bad):
+def test_blow_up_guard_parity(y0, bad, monkeypatch):
     # f is 0 before node 3, so every solver holds y0 until its step-3
-    # corrector meets the bad slope
+    # corrector meets the bad slope; with conformable blocks of 2 steps,
+    # step 3 opens a block, with blocks of 3 it closes one
     h = 0.25
     rhs = lambda t, y: bad if t >= 3 * h else 0.0
     problem = _ivp(rhs, y0, 2.0, 0.5)
-    reports = [_stepped_blow_up(problem, h)]
-    for solve, p in ((cf.solve_conformable_pc, problem),
-                     (cf.solve_conformable_pc_direct, problem),
-                     (cf.solve_caputo_pc, _ivp(rhs, y0, 2.0, 0.5))):
-        with pytest.raises(BlowUpError) as info:
-            solve(p, h)
-        exc = info.value
-        assert not -cf.BLOWUP_LIMIT <= exc.value <= cf.BLOWUP_LIMIT
-        reports.append((exc.step_index, exc.t, exc.last_value))
-    assert reports == [(3, 0.75, y0)] * 4
+    for block in (2, 3, 4096):
+        monkeypatch.setattr(cf.solvers, "_BLOCK", block)
+        reports = []
+        for solve in (cf.solve_conformable_pc, cf.solve_conformable_pc_direct,
+                      cf.solve_caputo_pc):
+            with pytest.raises(BlowUpError) as info:
+                solve(problem, h)
+            exc = info.value
+            assert not -cf.BLOWUP_LIMIT <= exc.value <= cf.BLOWUP_LIMIT
+            reports.append((exc.step_index, exc.t, exc.last_value))
+        assert reports == [(3, 0.75, y0)] * 3, block
 
 
 @pytest.mark.parametrize("y0", [cf.BLOWUP_LIMIT, -cf.BLOWUP_LIMIT])
@@ -456,12 +411,6 @@ def test_iterates_at_blow_up_limit_are_accepted(y0):
     ]
     for trace in traces:
         assert np.all(trace.values == y0) and np.all(trace.predictors == y0)
-    problem = _ivp(zero, y0, 2.0, 0.5)
-    grid = cf.make_grid(2.0, 0.25)
-    state = cf.initial_conformable_state(problem, grid)
-    for step in range(1, grid.node_count):
-        state, y, yp = cf.conformable_step(state, problem, grid, step)
-        assert y == yp == y0
 
 
 def test_problem_validation():
