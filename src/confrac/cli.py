@@ -266,10 +266,11 @@ def cmd_solve(
     named = get_problem(problem)
     alpha = as_alpha(alpha)
     # both formats read only times and values: the rest of the trace, its
-    # predictors included, is let go before the closed form is sampled
+    # predictors included, is let go before the node times are allocated
     trace = solve_named(named, method, alpha, h, tau)
-    times, values = trace.times(), trace.values
+    grid, values = trace.grid, trace.values
     del trace
+    times = grid.nodes()
     if format == "svg":
         markers = _exact_column(named.exact, alpha, times[::marker_stride])
         write_svg(times, values, markers, output, marker_stride)

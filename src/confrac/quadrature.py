@@ -13,10 +13,11 @@ smooth factor:
 Coefficients only depend on their own index, never on the grid length,
 which is what lets the solvers in :mod:`confrac.solvers` update running
 sums instead of re-summing history.  Every solver reads its coefficients
-from :func:`_coefficient_block`: the conformable solver block by block,
-the others through :func:`coefficient_tables`, its block for indices
-0 .. n.  The scalar functions are per-index lookups with the same
-arithmetic, pinned bit for bit to the blocks.
+from :func:`_coefficient_block`: the conformable and Caputo solvers in
+one ascending pass of blocks, the direct reference solver and the weight
+vectors through :func:`coefficient_tables`, which fills indices 0 .. n
+from the same blocks.  The scalar functions are per-index lookups with
+the same arithmetic, pinned bit for bit to the blocks.
 
 Large indices need care: the naive second difference subtracts three
 nearly equal numbers of size ``j**(a + 1)`` and loses roughly ``j**2``
@@ -193,12 +194,19 @@ def coefficient_tables(
 
     Entry j of the three arrays equals ``rectangle_coefficient(j, alpha)``,
     ``trapezoid_coefficient(j, alpha)`` and
-    ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.  The whole-range
-    case of the block generator the conformable solver steps through.
+    ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.  The arrays are
+    filled from :func:`_coefficient_block` 4,096 indices at a time, so the
+    series temporaries stay the size of one block and the tables cost
+    their own 24 bytes per index.
     """
     if n < 0:
         raise ValueError(f"panel index must be non-negative, got {n}")
-    return _coefficient_block(0, n + 1, as_alpha(alpha).value)
+    a = as_alpha(alpha).value
+    rect, trap, tail = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    for lo in range(0, n + 1, 4096):
+        hi = min(lo + 4096, n + 1)
+        rect[lo:hi], trap[lo:hi], tail[lo:hi] = _coefficient_block(lo, hi, a)
+    return rect, trap, tail
 
 
 def product_scales(a: float, h: float) -> tuple[float, float]:

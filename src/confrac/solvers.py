@@ -44,7 +44,7 @@ RightHandSide = Callable[[float, float], float]
 BLOWUP_LIMIT = 1e12
 
 #: largest grid the Caputo solver accepts; one solve took about 0.14 s
-#: at 25,601 nodes, 0.6 s at 102,401 and 6.5-7.2 s (129 MB peak RSS) at
+#: at 25,601 nodes, 0.6 s at 102,401 and 6.5-7.2 s (107 MB peak RSS) at
 #: 10**6 nodes on a 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
 
@@ -313,9 +313,10 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
 def caputo_grid(horizon: float, h: float) -> UniformGrid:
     """:func:`make_grid`, also rejecting more than ``CAPUTO_MAX_NODES`` nodes.
 
-    A solve of n nodes costs O(n log**2 n) time and holds whole-grid
-    coefficient tables and far-field sums, so the bound is checked on the
-    grid object, before any table is built or step taken.
+    A solve of n nodes costs O(n log**2 n) time and holds about 80 bytes
+    per node (outputs, slopes, far-field sums, closing weights and FFT
+    kernels), so the bound is checked on the grid object, before any
+    coefficient is generated or step taken.
     """
     grid = make_grid(horizon, h)
     if grid.node_count > CAPUTO_MAX_NODES:
@@ -326,38 +327,76 @@ def caputo_grid(horizon: float, h: float) -> UniformGrid:
     return grid
 
 
-def _kernel_transforms(kernels, rect, trap, size, index):
-    """Transforms of the predictor and corrector kernels for one chunk offset.
+def _kernel_pair(predictor, corrector):
+    """Transforms of one predictor and one corrector kernel.
 
-    Position q of the size-``size`` kernels holds distance
-    ``d = index * size // 2 + q``: ``rect[d - 1]`` (predictor, 0 at d = 0)
-    and ``trap[d]`` (corrector).  Cached in ``kernels`` per
-    ``(size, index)``.
+    ``numpy.fft`` is imported here, so runs that build no kernel (and every
+    other solver) do not load it.
     """
-    key = (size, index)
-    pair = kernels.get(key)
-    if pair is None:
-        from numpy import fft
+    from numpy import fft
 
-        first = index * (size // 2)
-        low = max(first, 1)
-        predictor = np.zeros(size)
-        predictor[low - first:] = rect[low - 1:first + size - 1]
-        pair = kernels[key] = (fft.rfft(predictor),
-                               fft.rfft(trap[first:first + size]))
-    return pair
+    return fft.rfft(predictor), fft.rfft(corrector)
 
 
-def _spread(kernels, rect, trap, slopes, far_p, far_c, end, width):
+def _caputo_coefficients(a, panels):
+    """Closing weights, near-field weights and FFT kernels of one Caputo solve.
+
+    One ascending pass over :func:`_coefficient_block` in blocks of
+    ``_FFT_SIZE // 2`` entries generates every coefficient index once:
+
+    * each block's closing entries go into ``tail``, which holds indices
+      0 .. panels - 1 and is the only whole-grid coefficient array;
+    * the first block gives the near-field weights: ``rect_rev[span - k:]``
+      holds ``rect[k - 1], ..., rect[0]`` and ``trap_rev[span - k:]`` holds
+      ``trap[k], ..., trap[1]``, with ``span = min(_LEAF, panels)``;
+    * the first block also gives the kernel of the size-``_FFT_SIZE // 2``
+      FFT, and blocks ``k`` and ``k + 1`` the size-``_FFT_SIZE`` kernel for
+      chunk offset ``k``.  Position q of a size-``size`` kernel for offset
+      ``k`` holds distance ``d = k * size // 2 + q``: ``rect[d - 1]``
+      (predictor, 0 at d = 0) and ``trap[d]`` (corrector).  The predictor
+      kernel starts with the last rectangle entry of block ``k - 1``, the
+      one value carried from block to block.
+
+    ``kernels`` maps ``(size, k)`` to the transform pair :func:`_spread`
+    reads.  Past ``_LEAF`` panels the pass runs to the end of the FFT chunk
+    that holds the last panel, so every kernel is whole without zero
+    padding and a node's value does not depend on how far the run goes.
+    """
+    half = _FFT_SIZE // 2
+    reach = (panels // half + 1) * half if panels >= _LEAF else panels + 1
+    tail = np.empty(panels)
+    kernels = {}
+    carry = 0.0
+    for lo in range(0, reach, half):
+        rect, trap, closing = _coefficient_block(lo, min(lo + half, reach), a)
+        # the last block starts at or before the last panel
+        tail[lo:lo + half] = closing[:panels - lo]
+        if lo == 0:
+            span = min(_LEAF, panels)
+            rect_rev = rect[span - 1::-1].copy()
+            trap_rev = trap[span:0:-1].copy()
+            if panels >= _LEAF:
+                kernels[half, 0] = _kernel_pair(
+                    np.concatenate(([0.0], rect[:-1])), trap)
+        else:
+            kernels[_FFT_SIZE, lo // half - 1] = _kernel_pair(
+                np.concatenate(([carry], rect_before, rect[:-1])),
+                np.concatenate((trap_before, trap)))
+            carry = rect_before[-1]
+        rect_before, trap_before = rect, trap
+    return tail, rect_rev, trap_rev, kernels
+
+
+def _spread(kernels, slopes, far_p, far_c, end, width):
     """Adds the slopes at nodes ``end - width .. end - 1`` into the far-field
     sums of nodes ``end .. end + width - 1`` (those that exist).
 
     The block is cut into chunks of at most ``_FFT_SIZE // 2`` slopes; each
     source/target chunk pair is one circular convolution of twice the chunk
-    length, summed per target chunk in the frequency domain.  Slope 0 is
-    left out of the corrector sum: it enters through the closing weight.
-    ``numpy.fft`` is imported here, so runs that never get this far (and
-    every other solver) do not load it.
+    length with a kernel transform from ``kernels``
+    (:func:`_caputo_coefficients`), summed per target chunk in the
+    frequency domain.  Slope 0 is left out of the corrector sum: it enters
+    through the closing weight.
     """
     from numpy import fft
 
@@ -376,9 +415,7 @@ def _spread(kernels, rect, trap, slopes, far_p, far_c, end, width):
     for target in range(min(count, -(-(nodes - end) // chunk))):
         acc_p = acc_c = 0.0
         for i in range(count):
-            kernel_p, kernel_c = _kernel_transforms(
-                kernels, rect, trap, size, count + target - i - 1
-            )
+            kernel_p, kernel_c = kernels[size, count + target - i - 1]
             acc_p = acc_p + sources[i] * kernel_p
             acc_c = acc_c + corrector_sources[i] * kernel_c
         start = end + target * chunk
@@ -395,7 +432,8 @@ def solve_caputo_pc(
     """Adams-Bashforth-Moulton run for a Caputo problem of order in (0, 1].
 
     Fractional rectangle predictor, fractional trapezoid corrector; the
-    weights are those :func:`caputo_weights` returns.  The history sums
+    weights are those :func:`caputo_weights` returns, generated once in
+    blocks by :func:`_caputo_coefficients`.  The history sums
     are split by divide and conquer (Hairer, Lubich & Schlichte 1985):
     nodes run in leaves of ``_LEAF`` steps, and each step adds one
     contiguous dot over its own leaf's earlier slopes (the near field) to
@@ -411,17 +449,8 @@ def solve_caputo_pc(
     a = problem.order.value
     rhs, y0, step_size = problem.rhs, problem.y0, grid.step
     panels = grid.panel_count
-    # each far-field kernel ends inside the last FFT chunk the grid reaches;
-    # tables that long need no zero padding, which keeps every node's value
-    # independent of how far the run goes
-    half = _FFT_SIZE // 2
-    reach = (panels // half + 1) * half - 1 if panels >= _LEAF else panels
-    rect, trap, tail = coefficient_tables(reach, problem.order)
-    # rect_rev[span - k:] holds rect[k - 1], ..., rect[0] and
-    # trap_rev[span - k:] holds trap[k], ..., trap[1]
-    span = min(_LEAF, panels)
-    rect_rev = rect[span - 1::-1].copy()
-    trap_rev = trap[span:0:-1].copy()
+    tail, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels)
+    span = rect_rev.shape[0]
     predictor_scale = h**a / gamma(a + 1.0)
     corrector_scale = h**a / gamma(a + 2.0)
     slopes = np.empty(panels)
@@ -429,7 +458,6 @@ def solve_caputo_pc(
     slopes[0] = f0
     far_p = np.zeros(grid.node_count)
     far_c = np.zeros(grid.node_count)
-    kernels = {}
     values = np.empty(grid.node_count)
     predictors = np.empty(panels)
     values[0] = y0
@@ -445,13 +473,14 @@ def solve_caputo_pc(
                 far_p[first:hi].tolist(), far_c[first:hi].tolist(),
             ):
                 t_next = step * step_size
+                near = slopes[lo:step]
                 predicted = y0 + predictor_scale * (p_far + float(
-                    rect_rev[span - step + lo:].dot(slopes[lo:step])
+                    rect_rev[span - step + lo:].dot(near)
                 ))
                 if not -limit <= predicted <= limit:
                     raise BlowUpError(step, predicted)
                 head = closing * f0 + (c_far + float(
-                    trap_rev[span - step + first:].dot(slopes[first:step])
+                    trap_rev[span - step + first:].dot(near if lo else near[1:])
                 ))
                 corrected = predicted
                 for _ in range(iterations):
@@ -464,7 +493,7 @@ def solve_caputo_pc(
                     slopes[step] = rhs(t_next, corrected)
             if hi < grid.node_count:
                 leaves = hi // _LEAF
-                _spread(kernels, rect, trap, slopes, far_p, far_c, hi,
+                _spread(kernels, slopes, far_p, far_c, hi,
                         _LEAF * (leaves & -leaves))
     except BlowUpError as exc:
         raise _located(exc, grid, values) from None

@@ -56,3 +56,13 @@ def test_traced_ladder_matches_untraced(tooling, tmp_path):
     assert [(s.kind, s.panels) for s in solves] == [
         ("caputo", 50), ("caputo", 100), ("caputo", 200)]
     assert tracer.counters["problems.rhs"][0] > 0
+
+
+def test_traced_ladder_through_fft_matches_untraced(tooling, tmp_path):
+    traced, workloads = tooling
+    # 1,001 and 2,001 nodes: the second level runs past one 1,024-step leaf,
+    # so its history sums go through the FFT kernels
+    ladder = workloads.Ladder("example1", "0.5", "2", "0.002", 2, (0.0, 0.0), 0.0)
+    tracer, solves = _replay_both(traced, ladder, tmp_path)
+    assert "solvers.solve_caputo_pc" in {span[0] for span in tracer.spans}
+    assert [(s.kind, s.panels) for s in solves] == [("caputo", 1000), ("caputo", 2000)]

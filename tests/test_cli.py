@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from confrac import cli, problems
+from confrac.core import UniformGrid
 
 
 def run_cli(*argv):
@@ -166,6 +167,34 @@ def test_csv_lets_the_trace_go_before_the_closed_form(
     ) == 0
     assert len(refs) == (2 if argv[0] == "compare" else 1)
     assert len(alive) == exact_calls and not any(alive)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_solve_lets_the_trace_go_before_node_times(fmt, tmp_path, monkeypatch):
+    # the node-time column is as long as the predictors: it is allocated
+    # only once the trace holding them is gone
+    refs, calls = [], []
+    solve_named = cli.solve_named
+    nodes = UniformGrid.nodes
+
+    def watched_solve(*args):
+        trace = solve_named(*args)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    def watched_nodes(grid):
+        assert refs and all(ref() is None for ref in refs)
+        calls.append(grid.node_count)
+        return nodes(grid)
+
+    monkeypatch.setattr(cli, "solve_named", watched_solve)
+    monkeypatch.setattr(UniformGrid, "nodes", watched_nodes)
+    assert run_cli(
+        "solve", "--problem", "example1", "--method", "conformable",
+        "--alpha", "0.5", "--h", "0.01", "--tau", "1", "--format", fmt,
+        "--output", str(tmp_path / f"run.{fmt}"),
+    ) == 0
+    assert calls == [101]
 
 
 # ---------------------------------------------------------------- convergence

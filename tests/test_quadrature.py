@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +161,19 @@ def test_coefficient_blocks_match_tables(a):
             block = _coefficient_block(lo, hi, a)
             for whole, part in zip(tables, block):
                 assert np.array_equal(whole[lo:hi], part), (a, lo, hi)
+
+
+def test_coefficient_tables_memory_is_their_outputs():
+    # three tables of 8 bytes per index; the series temporaries are those
+    # of one block
+    n = 200_000
+    tracemalloc.start()
+    try:
+        coefficient_tables(n, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * (n + 1) + 2**20, peak
 
 
 @pytest.mark.parametrize("a", (0.1, 0.5, 0.9))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -266,17 +267,50 @@ def test_caputo_node_values_do_not_depend_on_horizon():
         assert np.array_equal(trace.predictors, full.predictors[:nodes - 1])
 
 
-def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
+# sha256 of values.tobytes() and predictors.tobytes() of the solve below,
+# frozen from the solver that still built whole-grid coefficient tables
+_CAPUTO_25601_SHA256 = (
+    "a6ed2e69ecd869745b237559875fecf26fa8a59abacbb5112fcf98ea843fdcc5",
+    "09bb0120ef543a4469ff34ff136f56e79aad6e9c14469e6b0d1d63fbfe821148",
+)
+
+
+def test_caputo_generates_each_coefficient_once_in_blocks(monkeypatch):
     def no_tables(*args):
         raise AssertionError("coefficient tables built")
 
+    blocks = []
+    block = cf.solvers._coefficient_block
+
+    def recorded(lo, hi, a):
+        blocks.append((lo, hi))
+        return block(lo, hi, a)
+
     monkeypatch.setattr(cf.solvers, "coefficient_tables", no_tables)
+    monkeypatch.setattr(cf.solvers, "_coefficient_block", recorded)
+    trace = cf.solve_caputo_pc(cf.get_problem("example1").problem(0.5, 2.0),
+                               2.0 / 25600)
+    assert trace.grid.node_count == 25601
+    assert max(hi - lo for lo, hi in blocks) <= 4096
+    indices = [j for lo, hi in blocks for j in range(lo, hi)]
+    assert len(indices) == len(set(indices))
+    assert (hashlib.sha256(trace.values.tobytes()).hexdigest(),
+            hashlib.sha256(trace.predictors.tobytes()).hexdigest()
+            ) == _CAPUTO_25601_SHA256
+
+
+def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
+    def no_coefficients(*args):
+        raise AssertionError("coefficients generated")
+
+    monkeypatch.setattr(cf.solvers, "coefficient_tables", no_coefficients)
+    monkeypatch.setattr(cf.solvers, "_coefficient_block", no_coefficients)
     ceiling = cf.solvers.CAPUTO_MAX_NODES
     assert cf.solvers.caputo_grid(1.0, 1 / (ceiling - 1)).node_count == ceiling
     with pytest.raises(GridError, match="Caputo"):
         cf.solvers.caputo_grid(1.0, 1 / ceiling)
     # 5,000,001 nodes: inside MAX_NODES, five times the ceiling on the
-    # Caputo solver's whole-grid tables and far-field sums
+    # Caputo solver's per-node arrays and FFT kernels
     with pytest.raises(GridError, match="Caputo"):
         cf.solve_caputo_pc(_ivp(lambda t, y: y, 1.0, 2.0, 0.5), 4e-7)
 
