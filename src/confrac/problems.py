@@ -348,6 +348,8 @@ def refinement_errors(
         trace = solve_named(named, method, alpha, h, tau, corrector_iterations)
         endpoint_t = trace.grid.node(trace.grid.node_count - 1)
         err = abs(trace.endpoint - named.exact(endpoint_t, alpha))
+        # freed before the next, twice as long, level is solved
+        del trace
         pairs.append((h, err))
     return pairs
 

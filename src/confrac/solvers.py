@@ -43,9 +43,9 @@ RightHandSide = Callable[[float, float], float]
 #: iterates beyond this magnitude are treated as blow-up
 BLOWUP_LIMIT = 1e12
 
-#: largest grid the Caputo solver accepts; one solve took about 0.14 s
-#: at 25,601 nodes, 0.6 s at 102,401 and 6.5-7.2 s (107 MB peak RSS) at
-#: 10**6 nodes on a 2-core x86 machine
+#: largest grid the Caputo solver accepts; one solve took about 0.06 s
+#: at 25,601 nodes, 0.35-0.45 s at 102,401 and 4.1-6.4 s (107 MB peak
+#: RSS) at 10**6 nodes on a shared 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
 
 #: steps per block of the conformable solver: each block builds its own
@@ -441,21 +441,34 @@ def solve_caputo_pc(
     power-of-two block of slopes that ends there is added into the
     far-field sums of the equally long block that follows, by FFT
     convolution (:func:`_spread`).  That makes a solve O(n log**2 n).
-    Grids of at most ``_LEAF`` nodes never reach an FFT.  The blow-up
-    guard is the same inline test as in :func:`solve_conformable_pc`.
+    Grids of at most ``_LEAF`` nodes never reach an FFT.
+
+    Past the first leaf, a step makes no numpy slice: its dots read views
+    of the near-field weights and of a one-leaf slope buffer, built once
+    per solve (at most about 0.45 MB, whatever the grid), and its value
+    and predictor go into Python lists written out once per leaf.  The leaf's
+    slopes are copied into the whole-grid slope array before each spread.
+    The blow-up guard is the same inline test as in
+    :func:`solve_conformable_pc`.
     """
-    iterations = _checked_iterations(corrector_iterations)
+    passes = range(_checked_iterations(corrector_iterations))
     grid = caputo_grid(problem.horizon, h)
     a = problem.order.value
     rhs, y0, step_size = problem.rhs, problem.y0, grid.step
     panels = grid.panel_count
     tail, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels)
     span = rect_rev.shape[0]
+    # step k of a leaf dots the last k near-field weights against the
+    # leaf's first k slopes; every view it needs is built here, once
+    rect_tails = [rect_rev[span - k:] for k in range(span + 1)]
+    trap_tails = [trap_rev[span - k:] for k in range(span + 1)]
+    leaf = np.empty(span)
+    recent = [leaf[:k] for k in range(span + 1)]
     predictor_scale = h**a / gamma(a + 1.0)
     corrector_scale = h**a / gamma(a + 2.0)
     slopes = np.empty(panels)
     f0 = float(rhs(0.0, y0))
-    slopes[0] = f0
+    leaf[0] = f0
     far_p = np.zeros(grid.node_count)
     far_c = np.zeros(grid.node_count)
     values = np.empty(grid.node_count)
@@ -468,34 +481,46 @@ def solve_caputo_pc(
             # node 0 is the initial value; slope 0 enters the corrector
             # through the closing weight, not the near-field sum
             first = max(lo, 1)
-            for step, closing, p_far, c_far in zip(
-                range(first, hi), tail[first - 1:hi - 1].tolist(),
-                far_p[first:hi].tolist(), far_c[first:hi].tolist(),
-            ):
-                t_next = step * step_size
-                near = slopes[lo:step]
-                predicted = y0 + predictor_scale * (p_far + float(
-                    rect_rev[span - step + lo:].dot(near)
-                ))
+            ks = range(first - lo, hi - lo)
+            # (predictor weights, slopes, corrector weights, slopes) per k;
+            # leaf 0 leaves slope 0 out of the corrector's dot
+            if lo:
+                views = rect_tails, recent, trap_tails, recent
+            else:
+                views = (rect_tails[1:], recent[1:], trap_tails,
+                         (leaf[1:k] for k in ks))
+            sloped = panels - lo  # the last node's slope is never used
+            leaf_values, leaf_predictors = [], []
+            steps = zip(
+                ks, (step_size * np.arange(first, hi)).tolist(),
+                # each corrector sum starts from the closing weight's term
+                (tail[first - 1:hi - 1] * f0).tolist(),
+                far_p[first:hi].tolist(), far_c[first:hi].tolist(), *views,
+            )
+            for k, t_next, head, p_far, c_far, rect_w, near, trap_w, c_near in steps:
+                predicted = y0 + predictor_scale * (p_far + float(rect_w.dot(near)))
                 if not -limit <= predicted <= limit:
-                    raise BlowUpError(step, predicted)
-                head = closing * f0 + (c_far + float(
-                    trap_rev[span - step + first:].dot(near if lo else near[1:])
-                ))
+                    raise BlowUpError(lo + k, predicted)
+                head += c_far + float(trap_w.dot(c_near))
                 corrected = predicted
-                for _ in range(iterations):
+                for _ in passes:
                     corrected = y0 + corrector_scale * (head + rhs(t_next, corrected))
                     if not -limit <= corrected <= limit:
-                        raise BlowUpError(step, corrected)
-                values[step] = corrected
-                predictors[step - 1] = predicted
-                if step < panels:
-                    slopes[step] = rhs(t_next, corrected)
+                        raise BlowUpError(lo + k, corrected)
+                leaf_values.append(corrected)
+                leaf_predictors.append(predicted)
+                if k < sloped:
+                    leaf[k] = rhs(t_next, corrected)
+            values[first:hi] = leaf_values
+            predictors[first - 1:hi - 1] = leaf_predictors
             if hi < grid.node_count:
+                slopes[lo:hi] = leaf
                 leaves = hi // _LEAF
                 _spread(kernels, slopes, far_p, far_c, hi,
                         _LEAF * (leaves & -leaves))
     except BlowUpError as exc:
+        # _located reads the last accepted value, which may still be listed
+        values[first:first + len(leaf_values)] = leaf_values
         raise _located(exc, grid, values) from None
     return SolutionTrace(grid=grid, values=values, predictors=predictors,
                          method="caputo")

@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import confrac as cf
+from confrac import problems
 from confrac.errors import DomainError, GridError, OrderUndefinedError
 from confrac.problems import halving_orders
 
@@ -162,6 +164,24 @@ def test_refinement_rejects_oversized_ladder_before_solving():
     with pytest.raises(ValueError, match="unknown method"):
         cf.refinement_errors(named, "rk4", 0.5, 2.0, 0.04, 3)
     assert calls == []
+
+
+def test_refinement_lets_each_trace_go_before_the_next_level(monkeypatch):
+    # each level's trace is half as long as the next one's: it must be freed
+    # once its endpoint error is taken, before the next level is solved
+    refs = []
+    solve_named = problems.solve_named
+
+    def watched_solve(*args):
+        assert all(ref() is None for ref in refs)
+        trace = solve_named(*args)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(problems, "solve_named", watched_solve)
+    pairs = cf.refinement_errors(cf.get_problem("example1"), "caputo", 0.5,
+                                 2.0, 0.04, 4)
+    assert len(pairs) == len(refs) == 4
 
 
 def test_halving_orders_mark_floor_errors():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -299,6 +300,56 @@ def test_caputo_generates_each_coefficient_once_in_blocks(monkeypatch):
             ) == _CAPUTO_25601_SHA256
 
 
+# sha256 of values.tobytes() and predictors.tobytes() of the 3,073-node,
+# two-pass solve below, frozen from the solver that sliced its near-field
+# operands at every step
+_CAPUTO_3073_TWO_PASS_SHA256 = (
+    "a0a2ddc98d014cc4c081991fea328b9e7158efcc9805010e9c6f8c9272b9d04b",
+    "9a03b546517027347be6ed0ac14cf8c453a47adef150d651b28ed0925373c6d0",
+)
+
+
+@pytest.mark.parametrize("nodes,iterations,rhs_calls,digests", [
+    (25601, 1, 51_200, _CAPUTO_25601_SHA256),
+    (3073, 2, 9_216, _CAPUTO_3073_TWO_PASS_SHA256),
+])
+def test_caputo_bits_and_right_hand_side_calls_are_frozen(
+    nodes, iterations, rhs_calls, digests
+):
+    named = cf.get_problem("example1").problem(0.5, 2.0)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return named.rhs(t, y)
+
+    trace = cf.solve_caputo_pc(dataclasses.replace(named, rhs=counted),
+                               2.0 / (nodes - 1), iterations)
+    panels = nodes - 1
+    # slope 0, then per step its corrector passes and its slope, except
+    # the last node's slope, which no step reads
+    assert len(calls) == 1 + iterations * panels + (panels - 1) == rhs_calls
+    assert (hashlib.sha256(trace.values.tobytes()).hexdigest(),
+            hashlib.sha256(trace.predictors.tobytes()).hexdigest()) == digests
+
+
+def test_caputo_solve_memory_is_bounded_per_node():
+    # measured peaks: 2.97 MB at 25,601 nodes and 9.95 MB at 102,401, that
+    # is about 91 bytes per node (values, predictors, slopes, far-field
+    # sums, closing weights, FFT kernels) and 0.65 MB fixed, which holds
+    # the per-solve near-field views; views built per node and not per
+    # leaf would add hundreds of bytes per node
+    problem = _ivp(lambda t, y: t * y, 1.0, 2.0, 0.5)
+    nodes = 25601
+    tracemalloc.start()
+    try:
+        cf.solve_caputo_pc(problem, 2.0 / (nodes - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * nodes + 2**20, peak
+
+
 def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
     def no_coefficients(*args):
         raise AssertionError("coefficients generated")
@@ -404,6 +455,24 @@ def test_caputo_blow_up_past_first_leaf_reports_location():
     assert exc.last_value == trace.endpoint
     assert exc.last_value == pytest.approx(values[-2], rel=1e-11)
     assert f"blew up at step {step} " in str(exc)
+
+
+@pytest.mark.parametrize("node,t,last_value", [
+    (1024, 0.6666666666666666, 1.5708848094489964),  # first step of leaf 1
+    (2047, 1.3326822916666665, 4.713328125378457),  # last step of leaf 1
+])
+def test_caputo_blow_up_at_leaf_edges_reports_location(node, t, last_value):
+    # the source jumps between nodes node - 1 and node, so the first
+    # corrector pass at node leaves the limit; t and last_value are frozen
+    # from the solver that stored each value as soon as it was accepted
+    h = 2.0 / 3072
+    edge = (node - 0.5) * h
+    problem = _ivp(lambda s, y: 1e15 if s > edge else s * y, 1.0, 2.0, 0.5)
+    with pytest.raises(BlowUpError) as info:
+        cf.solve_caputo_pc(problem, h)
+    exc = info.value
+    assert (exc.step_index, exc.t, exc.last_value) == (node, t, last_value)
+    assert abs(exc.value) > cf.BLOWUP_LIMIT
 
 
 @pytest.mark.parametrize("y0, bad", [
