@@ -17,15 +17,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, UniformGrid, as_alpha, make_grid
+from .core import Alpha, AlphaLike, UniformGrid, as_alpha
 from .errors import DomainError, OrderUndefinedError
 from .solvers import (
     InitialValueProblem,
     SolutionTrace,
-    caputo_grid,
     solve_caputo_pc,
     solve_classical_pc,
     solve_conformable_pc,
+    solver_grid,
 )
 
 #: endpoint errors at or below this are rounding-floor noise; no order exists
@@ -216,27 +216,20 @@ def solve_named(
     alpha: AlphaLike,
     h: float,
     horizon: float | None = None,
-    corrector_iterations: int = 1,
 ) -> SolutionTrace:
     """Dispatch one solver run on a registry problem.
 
     The run's grid is checked by :func:`method_grid` first, so a method,
-    horizon, last node or node count it rejects fails before any table is
-    built or step taken.
+    order, horizon, last node or node count it rejects fails before any
+    table is built or step taken.
     """
     alpha = as_alpha(alpha)
     method_grid(named, method, alpha, horizon, h)
     if method == "classical":
-        return solve_classical_pc(
-            named.problem(alpha, horizon), h, corrector_iterations
-        )
+        return solve_classical_pc(named.problem(alpha, horizon), h)
     if method == "conformable":
-        return solve_conformable_pc(
-            named.problem(alpha, horizon), h, corrector_iterations
-        )
-    return solve_caputo_pc(
-        named.caputo_problem(alpha, horizon), h, corrector_iterations
-    )
+        return solve_conformable_pc(named.problem(alpha, horizon), h)
+    return solve_caputo_pc(named.caputo_problem(alpha, horizon), h)
 
 
 def method_grid(
@@ -248,20 +241,19 @@ def method_grid(
 ) -> UniformGrid:
     """The grid ``solve_named`` would step ``method`` over, built without solving.
 
-    Rejects an unknown method, a horizon or a last grid node at or past
-    the problem's domain limit (``make_grid`` lets the last node
-    ``panel_count * h`` exceed the horizon by a rounding slack), and a
-    grid over the method's node ceiling (``MAX_NODES``, or
-    ``CAPUTO_MAX_NODES`` for the Caputo method), so callers can check all
-    of their runs before the first one starts.
+    Rejects an unknown method, then a horizon at or past the problem's
+    domain limit, then the grid and order checks of the method's solver
+    (:func:`~confrac.solvers.solver_grid`), then a last grid
+    node at or past the domain limit (``make_grid`` lets the last node
+    ``panel_count * h`` exceed the horizon by a rounding slack), so
+    callers can check all of their runs before the first one starts.
     """
     if method not in METHODS:
         raise ValueError(
             f"unknown method {method!r}; choose from {', '.join(METHODS)}"
         )
     alpha = as_alpha(alpha)
-    build = caputo_grid if method == "caputo" else make_grid
-    grid = build(named._checked_horizon(alpha, horizon), h)
+    grid = solver_grid(method, alpha, named._checked_horizon(alpha, horizon), h)
     if named.domain_limit is not None:
         last = grid.node(grid.panel_count)
         limit = named.domain_limit(alpha)
@@ -326,7 +318,6 @@ def refinement_errors(
     tau: float | None,
     h0: float,
     levels: int,
-    corrector_iterations: int = 1,
 ) -> list[tuple[float, float]]:
     """Endpoint absolute errors at steps h0, h0/2, ..., h0/2**(levels-1).
 
@@ -345,7 +336,7 @@ def refinement_errors(
     pairs = []
     for level in range(levels):
         h = h0 / 2.0**level
-        trace = solve_named(named, method, alpha, h, tau, corrector_iterations)
+        trace = solve_named(named, method, alpha, h, tau)
         endpoint_t = trace.grid.node(trace.grid.node_count - 1)
         err = abs(trace.endpoint - named.exact(endpoint_t, alpha))
         # freed before the next, twice as long, level is solved
@@ -375,7 +366,6 @@ def empirical_order(
     tau: float | None,
     h0: float,
     levels: int,
-    corrector_iterations: int = 1,
 ) -> list[float]:
     """Observed orders p_i = log2(e_i / e_{i+1}) under step halving.
 
@@ -383,9 +373,7 @@ def empirical_order(
     below ``DEGENERATE_ERROR_FLOOR`` -- schemes that integrate a problem
     exactly leave nothing but rounding noise to measure.
     """
-    pairs = refinement_errors(
-        named, method, alpha, tau, h0, levels, corrector_iterations
-    )
+    pairs = refinement_errors(named, method, alpha, tau, h0, levels)
     errors = [err for _, err in pairs]
     orders = halving_orders(errors)
     if None in orders:

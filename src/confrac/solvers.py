@@ -1,6 +1,8 @@
 """Predictor-corrector time steppers for first-order and fractional problems.
 
-Three schemes over a shared problem/trace model:
+Three schemes over a shared problem/trace model; the checks a solver
+makes on its grid and order before its first step live in
+:func:`solver_grid`:
 
 * :func:`solve_classical_pc` -- forward-Euler predictor with a trapezoid
   corrector pass, for ordinary (order-1) problems.
@@ -43,7 +45,8 @@ RightHandSide = Callable[[float, float], float]
 #: iterates beyond this magnitude are treated as blow-up
 BLOWUP_LIMIT = 1e12
 
-#: largest grid the Caputo solver accepts; one solve took about 0.06 s
+#: largest grid the Caputo solver accepts (checked by :func:`solver_grid`,
+#: also for a direct call); one solve took about 0.06 s
 #: at 25,601 nodes, 0.35-0.45 s at 102,401 and 4.1-6.4 s (107 MB peak
 #: RSS) at 10**6 nodes on a shared 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
@@ -138,12 +141,29 @@ def _located(exc: BlowUpError, grid: UniformGrid, values: np.ndarray) -> BlowUpE
                        last_value=float(values[step - 1]))
 
 
-def _checked_iterations(corrector_iterations: int) -> int:
+def _passes(corrector_iterations: int) -> range:
     if corrector_iterations < 1:
         raise ValueError(
             f"corrector needs at least one pass, got {corrector_iterations}"
         )
-    return corrector_iterations
+    return range(corrector_iterations)
+
+
+def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformGrid:
+    """The grid the ``method`` solver steps over, after the checks it makes
+    on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``
+    and at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve
+    of n nodes costs O(n log**2 n) time and about 80 bytes per node).
+    """
+    grid = make_grid(horizon, h)
+    if method == "classical" and order.value != 1.0:
+        raise DomainError(f"classical scheme requires order 1, got {order.value!r}")
+    if method == "caputo" and grid.node_count > CAPUTO_MAX_NODES:
+        raise GridError(
+            f"step {h!r} gives {grid.node_count} nodes on [0, {horizon!r}]; "
+            f"the Caputo solver takes at most {CAPUTO_MAX_NODES}"
+        )
+    return grid
 
 
 def solve_classical_pc(
@@ -156,12 +176,8 @@ def solve_classical_pc(
     Only defined for ``problem.order == 1``; fractional orders belong to
     :func:`solve_conformable_pc`.
     """
-    if problem.order.value != 1.0:
-        raise DomainError(
-            f"classical scheme requires order 1, got {problem.order.value!r}"
-        )
-    iterations = _checked_iterations(corrector_iterations)
-    grid = make_grid(problem.horizon, h)
+    passes = _passes(corrector_iterations)
+    grid = solver_grid("classical", problem.order, problem.horizon, h)
     rhs = problem.rhs
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
@@ -174,7 +190,7 @@ def solve_classical_pc(
             f_prev = rhs(t_prev, y)
             predicted = _guard(step, y + h * f_prev)
             corrected = predicted
-            for _ in range(iterations):
+            for _ in passes:
                 corrected = _guard(
                     step, y + 0.5 * h * (f_prev + rhs(t_next, corrected))
                 )
@@ -210,8 +226,8 @@ def solve_conformable_pc(
     is the inline test ``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` on every
     iterate, which is also false for NaN and +-inf.
     """
-    iterations = _checked_iterations(corrector_iterations)
-    grid = make_grid(problem.horizon, h)
+    passes = _passes(corrector_iterations)
+    grid = solver_grid("conformable", problem.order, problem.horizon, h)
     a = problem.order.value
     rhs, y0 = problem.rhs, problem.y0
     cte1, cte2 = product_scales(a, grid.step)
@@ -237,7 +253,7 @@ def solve_conformable_pc(
                 if not -limit <= accumulator <= limit:
                     raise BlowUpError(step, accumulator)
                 corrected = accumulator
-                for _ in range(iterations):
+                for _ in passes:
                     corrected = history + tail_weight * rhs(t_next, corrected)
                     if not -limit <= corrected <= limit:
                         raise BlowUpError(step, corrected)
@@ -263,8 +279,8 @@ def solve_conformable_pc_direct(
     as an independent route for cross-checking the accumulator algebra;
     results agree with the fast path to rounding.
     """
-    iterations = _checked_iterations(corrector_iterations)
-    grid = make_grid(problem.horizon, h)
+    passes = _passes(corrector_iterations)
+    grid = solver_grid("conformable", problem.order, problem.horizon, h)
     cte1, cte2 = product_scales(problem.order.value, grid.step)
     rhs = problem.rhs
     panels = grid.panel_count
@@ -284,7 +300,7 @@ def solve_conformable_pc_direct(
             partial = problem.y0 + cte2 * float(np.dot(trap[:step], hist))
             closing = cte2 * float(tail[step - 1])
             corrected = predicted
-            for _ in range(iterations):
+            for _ in passes:
                 corrected = _guard(step, partial + closing * rhs(t_next, corrected))
             values[step] = corrected
             predictors[step - 1] = predicted
@@ -308,23 +324,6 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
     rect, trap, tail = coefficient_tables(n, alpha)
     # the conformable coefficients read backwards, the closing one first
     return rect[::-1].copy(), np.concatenate(([tail[n]], trap[::-1]))
-
-
-def caputo_grid(horizon: float, h: float) -> UniformGrid:
-    """:func:`make_grid`, also rejecting more than ``CAPUTO_MAX_NODES`` nodes.
-
-    A solve of n nodes costs O(n log**2 n) time and holds about 80 bytes
-    per node (outputs, slopes, far-field sums, closing weights and FFT
-    kernels), so the bound is checked on the grid object, before any
-    coefficient is generated or step taken.
-    """
-    grid = make_grid(horizon, h)
-    if grid.node_count > CAPUTO_MAX_NODES:
-        raise GridError(
-            f"step {h!r} gives {grid.node_count} nodes on [0, {horizon!r}]; "
-            f"the Caputo solver takes at most {CAPUTO_MAX_NODES}"
-        )
-    return grid
 
 
 def _kernel_pair(predictor, corrector):
@@ -451,8 +450,8 @@ def solve_caputo_pc(
     The blow-up guard is the same inline test as in
     :func:`solve_conformable_pc`.
     """
-    passes = range(_checked_iterations(corrector_iterations))
-    grid = caputo_grid(problem.horizon, h)
+    passes = _passes(corrector_iterations)
+    grid = solver_grid("caputo", problem.order, problem.horizon, h)
     a = problem.order.value
     rhs, y0, step_size = problem.rhs, problem.y0, grid.step
     panels = grid.panel_count

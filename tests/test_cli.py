@@ -422,6 +422,8 @@ def test_compare_checks_every_method_before_solving(tmp_path, monkeypatch, capsy
     assert "Caputo solver takes at most" in capsys.readouterr().err
     assert run_cli(*base, "--h", "0.01", "--methods", "conformable,bogus") == 2
     assert "unknown method 'bogus'" in capsys.readouterr().err
+    assert run_cli(*base, "--h", "0.01", "--methods", "conformable,classical") == 2
+    assert "classical scheme requires order 1, got 0.5" in capsys.readouterr().err
 
 
 def test_closed_form_failure_leaves_no_partial_csv(tmp_path, capsys):

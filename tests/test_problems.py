@@ -97,6 +97,22 @@ def test_solve_named_dispatch():
     assert cf.solve_named(named, "caputo", 0.5, 0.01).method == "caputo"
 
 
+@pytest.mark.parametrize("method,solve,h,error", [
+    ("classical", cf.solve_classical_pc, 0.01, DomainError),  # order 0.5
+    ("caputo", cf.solve_caputo_pc, 1e-6, GridError),  # 10**6 + 1 nodes
+])
+def test_method_grid_refuses_as_the_solver_does(method, solve, h, error):
+    def no_rhs(t, y):
+        raise AssertionError("solver called its right-hand side")
+
+    with pytest.raises(error) as checked:
+        problems.method_grid(cf.get_problem("example1"), method, 0.5, 1.0, h)
+    with pytest.raises(error) as solved:
+        solve(cf.InitialValueProblem(no_rhs, 1.0, 1.0, cf.Alpha(0.5)), h)
+    assert type(solved.value) is type(checked.value)
+    assert str(solved.value) == str(checked.value)
+
+
 def test_error_report_basics():
     named = cf.get_problem("example1")
     trace = cf.solve_named(named, "conformable", 0.5, 0.01)

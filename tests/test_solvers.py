@@ -357,9 +357,11 @@ def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
     monkeypatch.setattr(cf.solvers, "coefficient_tables", no_coefficients)
     monkeypatch.setattr(cf.solvers, "_coefficient_block", no_coefficients)
     ceiling = cf.solvers.CAPUTO_MAX_NODES
-    assert cf.solvers.caputo_grid(1.0, 1 / (ceiling - 1)).node_count == ceiling
+    order = cf.Alpha(0.5)
+    grid = cf.solvers.solver_grid("caputo", order, 1.0, 1 / (ceiling - 1))
+    assert grid.node_count == ceiling
     with pytest.raises(GridError, match="Caputo"):
-        cf.solvers.caputo_grid(1.0, 1 / ceiling)
+        cf.solvers.solver_grid("caputo", order, 1.0, 1 / ceiling)
     # 5,000,001 nodes: inside MAX_NODES, five times the ceiling on the
     # Caputo solver's per-node arrays and FFT kernels
     with pytest.raises(GridError, match="Caputo"):
