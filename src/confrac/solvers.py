@@ -1,8 +1,10 @@
 """Predictor-corrector time steppers for first-order and fractional problems.
 
-Three schemes over a shared problem/trace model; the checks a solver
-makes on its grid and order before its first step live in
-:func:`solver_grid`:
+Three schemes, four solvers, one problem/trace model.  Every solver is its
+stepping loop inside one frame, :func:`_run`, which refuses fewer than one
+corrector pass, builds the grid through :func:`solver_grid` (the one home
+of the checks a solver makes on its grid and order before its first step),
+allocates the output arrays, locates a blow-up and returns the trace:
 
 * :func:`solve_classical_pc` -- forward-Euler predictor with a trapezoid
   corrector pass, for ordinary (order-1) problems.
@@ -19,7 +21,9 @@ makes on its grid and order before its first step live in
 All solvers apply the corrector as a fixed number of PECE passes
 (``corrector_iterations``, default 1) and abort with :class:`BlowUpError`
 as soon as an iterate leaves ``[-BLOWUP_LIMIT, BLOWUP_LIMIT]`` or goes
-non-finite.
+non-finite.  Every loop spells that test inline, as
+``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` (false for NaN and +-inf too), so
+the guard costs no call.
 """
 
 from __future__ import annotations
@@ -124,36 +128,40 @@ class SolutionTrace:
         return float(self.values[-1])
 
 
-def _guard(step_index: int, value: float) -> float:
-    # false for NaN and +-inf as well; the stepping loops inline this test
-    if not -BLOWUP_LIMIT <= value <= BLOWUP_LIMIT:
-        raise BlowUpError(step_index, value)
-    return value
+def _run(method, problem, h, corrector_iterations, march) -> SolutionTrace:
+    """The frame around every solver's stepping loop.
 
-
-def _located(exc: BlowUpError, grid: UniformGrid, values: np.ndarray) -> BlowUpError:
-    """``exc`` with the node's time and the last accepted value filled in.
-
-    Solvers call this only on the raise path, so the loops pay nothing.
+    Refuses fewer than one corrector pass, builds the grid through
+    :func:`solver_grid`, and allocates ``values`` (with ``values[0] = y0``)
+    and ``predictors``.  ``march(grid, passes, values, predictors)`` then
+    fills both arrays; a :class:`BlowUpError` it raises comes back with the
+    node's time and the last accepted value filled in, so a loop must have
+    written that value first.  The loops pay nothing for it.
     """
-    step = exc.step_index
-    return BlowUpError(step, exc.value, t=grid.node(step),
-                       last_value=float(values[step - 1]))
-
-
-def _passes(corrector_iterations: int) -> range:
     if corrector_iterations < 1:
         raise ValueError(
             f"corrector needs at least one pass, got {corrector_iterations}"
         )
-    return range(corrector_iterations)
+    grid = solver_grid(method, problem.order, problem.horizon, h)
+    values = np.empty(grid.node_count)
+    predictors = np.empty(grid.node_count - 1)
+    values[0] = problem.y0
+    try:
+        march(grid, range(corrector_iterations), values, predictors)
+    except BlowUpError as exc:
+        step = exc.step_index
+        raise BlowUpError(step, exc.value, t=grid.node(step),
+                          last_value=float(values[step - 1])) from None
+    return SolutionTrace(grid=grid, values=values, predictors=predictors,
+                         method=method)
 
 
 def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformGrid:
     """The grid the ``method`` solver steps over, after the checks it makes
-    on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``
-    and at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve
-    of n nodes costs O(n log**2 n) time and about 80 bytes per node).
+    on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``,
+    at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve of
+    n nodes costs O(n log**2 n) time and about 80 bytes per node) and, for
+    ``"conformable"``, scales that :func:`product_scales` can form.
     """
     grid = make_grid(horizon, h)
     if method == "classical" and order.value != 1.0:
@@ -163,6 +171,8 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
             f"step {h!r} gives {grid.node_count} nodes on [0, {horizon!r}]; "
             f"the Caputo solver takes at most {CAPUTO_MAX_NODES}"
         )
+    if method == "conformable":
+        product_scales(order.value, grid.step)
     return grid
 
 
@@ -176,31 +186,26 @@ def solve_classical_pc(
     Only defined for ``problem.order == 1``; fractional orders belong to
     :func:`solve_conformable_pc`.
     """
-    passes = _passes(corrector_iterations)
-    grid = solver_grid("classical", problem.order, problem.horizon, h)
-    rhs = problem.rhs
-    values = np.empty(grid.node_count)
-    predictors = np.empty(grid.node_count - 1)
-    values[0] = problem.y0
-    y = problem.y0
-    try:
+    def march(grid, passes, values, predictors):
+        rhs, y, step_size = problem.rhs, problem.y0, h
+        limit = BLOWUP_LIMIT
         for step in range(1, grid.node_count):
             t_prev = grid.node(step - 1)
             t_next = grid.node(step)
             f_prev = rhs(t_prev, y)
-            predicted = _guard(step, y + h * f_prev)
+            predicted = y + step_size * f_prev
+            if not -limit <= predicted <= limit:
+                raise BlowUpError(step, predicted)
             corrected = predicted
             for _ in passes:
-                corrected = _guard(
-                    step, y + 0.5 * h * (f_prev + rhs(t_next, corrected))
-                )
+                corrected = y + 0.5 * step_size * (f_prev + rhs(t_next, corrected))
+                if not -limit <= corrected <= limit:
+                    raise BlowUpError(step, corrected)
             values[step] = corrected
             predictors[step - 1] = predicted
             y = corrected
-    except BlowUpError as exc:
-        raise _located(exc, grid, values) from None
-    return SolutionTrace(grid=grid, values=values, predictors=predictors,
-                         method="classical")
+
+    return _run("classical", problem, h, corrector_iterations, march)
 
 
 def solve_conformable_pc(
@@ -222,24 +227,17 @@ def solve_conformable_pc(
     The steps run in blocks of ``_BLOCK``: each block builds its own scaled
     coefficients and node times, so besides ``values`` and ``predictors``
     nothing grows with the grid.  Within a block, steps run in one loop
-    with no call per step besides the right-hand side.  The blow-up guard
-    is the inline test ``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` on every
-    iterate, which is also false for NaN and +-inf.
+    with no call per step besides the right-hand side.
     """
-    passes = _passes(corrector_iterations)
-    grid = solver_grid("conformable", problem.order, problem.horizon, h)
-    a = problem.order.value
-    rhs, y0 = problem.rhs, problem.y0
-    cte1, cte2 = product_scales(a, grid.step)
-    values = np.empty(grid.node_count)
-    predictors = np.empty(grid.node_count - 1)
-    values[0] = y0
-    # rectangle and trapezoid coefficients at index 0 are both 1
-    f0 = rhs(0.0, y0)
-    accumulator = y0 + cte1 * f0
-    history = y0 + cte2 * f0
-    limit = BLOWUP_LIMIT
-    try:
+    def march(grid, passes, values, predictors):
+        a = problem.order.value
+        rhs, y0 = problem.rhs, problem.y0
+        cte1, cte2 = product_scales(a, grid.step)
+        # rectangle and trapezoid coefficients at index 0 are both 1
+        f0 = rhs(0.0, y0)
+        accumulator = y0 + cte1 * f0
+        history = y0 + cte2 * f0
+        limit = BLOWUP_LIMIT
         for lo in range(1, grid.node_count, _BLOCK):
             hi = min(lo + _BLOCK, grid.node_count)
             # step j takes rectangle and trapezoid entry j and closing
@@ -262,10 +260,8 @@ def solve_conformable_pc(
                 predictors[step - 1] = accumulator
                 accumulator += rect_weight * f_next
                 history += trap_weight * f_next
-    except BlowUpError as exc:
-        raise _located(exc, grid, values) from None
-    return SolutionTrace(grid=grid, values=values, predictors=predictors,
-                         method="conformable")
+
+    return _run("conformable", problem, h, corrector_iterations, march)
 
 
 def solve_conformable_pc_direct(
@@ -279,37 +275,33 @@ def solve_conformable_pc_direct(
     as an independent route for cross-checking the accumulator algebra;
     results agree with the fast path to rounding.
     """
-    passes = _passes(corrector_iterations)
-    grid = solver_grid("conformable", problem.order, problem.horizon, h)
-    cte1, cte2 = product_scales(problem.order.value, grid.step)
-    rhs = problem.rhs
-    panels = grid.panel_count
-    rect, trap, tail = coefficient_tables(panels, problem.order)
-    slopes = np.empty(panels)
-    slopes[0] = rhs(0.0, problem.y0)
-    values = np.empty(grid.node_count)
-    predictors = np.empty(panels)
-    values[0] = problem.y0
-    try:
+    def march(grid, passes, values, predictors):
+        rhs, y0 = problem.rhs, problem.y0
+        cte1, cte2 = product_scales(problem.order.value, grid.step)
+        panels = grid.panel_count
+        rect, trap, tail = coefficient_tables(panels, problem.order)
+        slopes = np.empty(panels)
+        slopes[0] = rhs(0.0, y0)
+        limit = BLOWUP_LIMIT
         for step in range(1, grid.node_count):
             t_next = grid.node(step)
             hist = slopes[:step]
-            predicted = _guard(
-                step, problem.y0 + cte1 * float(np.dot(rect[:step], hist))
-            )
-            partial = problem.y0 + cte2 * float(np.dot(trap[:step], hist))
+            predicted = y0 + cte1 * float(np.dot(rect[:step], hist))
+            if not -limit <= predicted <= limit:
+                raise BlowUpError(step, predicted)
+            partial = y0 + cte2 * float(np.dot(trap[:step], hist))
             closing = cte2 * float(tail[step - 1])
             corrected = predicted
             for _ in passes:
-                corrected = _guard(step, partial + closing * rhs(t_next, corrected))
+                corrected = partial + closing * rhs(t_next, corrected)
+                if not -limit <= corrected <= limit:
+                    raise BlowUpError(step, corrected)
             values[step] = corrected
             predictors[step - 1] = predicted
             if step < panels:
                 slopes[step] = rhs(t_next, corrected)
-    except BlowUpError as exc:
-        raise _located(exc, grid, values) from None
-    return SolutionTrace(grid=grid, values=values, predictors=predictors,
-                         method="conformable")
+
+    return _run("conformable", problem, h, corrector_iterations, march)
 
 
 def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
@@ -447,34 +439,27 @@ def solve_caputo_pc(
     per solve (at most about 0.45 MB, whatever the grid), and its value
     and predictor go into Python lists written out once per leaf.  The leaf's
     slopes are copied into the whole-grid slope array before each spread.
-    The blow-up guard is the same inline test as in
-    :func:`solve_conformable_pc`.
     """
-    passes = _passes(corrector_iterations)
-    grid = solver_grid("caputo", problem.order, problem.horizon, h)
-    a = problem.order.value
-    rhs, y0, step_size = problem.rhs, problem.y0, grid.step
-    panels = grid.panel_count
-    tail, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels)
-    span = rect_rev.shape[0]
-    # step k of a leaf dots the last k near-field weights against the
-    # leaf's first k slopes; every view it needs is built here, once
-    rect_tails = [rect_rev[span - k:] for k in range(span + 1)]
-    trap_tails = [trap_rev[span - k:] for k in range(span + 1)]
-    leaf = np.empty(span)
-    recent = [leaf[:k] for k in range(span + 1)]
-    predictor_scale = h**a / gamma(a + 1.0)
-    corrector_scale = h**a / gamma(a + 2.0)
-    slopes = np.empty(panels)
-    f0 = float(rhs(0.0, y0))
-    leaf[0] = f0
-    far_p = np.zeros(grid.node_count)
-    far_c = np.zeros(grid.node_count)
-    values = np.empty(grid.node_count)
-    predictors = np.empty(panels)
-    values[0] = y0
-    limit = BLOWUP_LIMIT
-    try:
+    def march(grid, passes, values, predictors):
+        a = problem.order.value
+        rhs, y0, step_size = problem.rhs, problem.y0, grid.step
+        panels = grid.panel_count
+        tail, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels)
+        span = rect_rev.shape[0]
+        # step k of a leaf dots the last k near-field weights against the
+        # leaf's first k slopes; every view it needs is built here, once
+        rect_tails = [rect_rev[span - k:] for k in range(span + 1)]
+        trap_tails = [trap_rev[span - k:] for k in range(span + 1)]
+        leaf = np.empty(span)
+        recent = [leaf[:k] for k in range(span + 1)]
+        predictor_scale = h**a / gamma(a + 1.0)
+        corrector_scale = h**a / gamma(a + 2.0)
+        slopes = np.empty(panels)
+        f0 = float(rhs(0.0, y0))
+        leaf[0] = f0
+        far_p = np.zeros(grid.node_count)
+        far_c = np.zeros(grid.node_count)
+        limit = BLOWUP_LIMIT
         for lo in range(0, grid.node_count, _LEAF):
             hi = min(lo + _LEAF, grid.node_count)
             # node 0 is the initial value; slope 0 enters the corrector
@@ -496,30 +481,29 @@ def solve_caputo_pc(
                 (tail[first - 1:hi - 1] * f0).tolist(),
                 far_p[first:hi].tolist(), far_c[first:hi].tolist(), *views,
             )
-            for k, t_next, head, p_far, c_far, rect_w, near, trap_w, c_near in steps:
-                predicted = y0 + predictor_scale * (p_far + float(rect_w.dot(near)))
-                if not -limit <= predicted <= limit:
-                    raise BlowUpError(lo + k, predicted)
-                head += c_far + float(trap_w.dot(c_near))
-                corrected = predicted
-                for _ in passes:
-                    corrected = y0 + corrector_scale * (head + rhs(t_next, corrected))
-                    if not -limit <= corrected <= limit:
-                        raise BlowUpError(lo + k, corrected)
-                leaf_values.append(corrected)
-                leaf_predictors.append(predicted)
-                if k < sloped:
-                    leaf[k] = rhs(t_next, corrected)
-            values[first:hi] = leaf_values
+            try:
+                for k, t_next, head, p_far, c_far, rect_w, near, trap_w, c_near in steps:
+                    predicted = y0 + predictor_scale * (p_far + float(rect_w.dot(near)))
+                    if not -limit <= predicted <= limit:
+                        raise BlowUpError(lo + k, predicted)
+                    head += c_far + float(trap_w.dot(c_near))
+                    corrected = predicted
+                    for _ in passes:
+                        corrected = y0 + corrector_scale * (head + rhs(t_next, corrected))
+                        if not -limit <= corrected <= limit:
+                            raise BlowUpError(lo + k, corrected)
+                    leaf_values.append(corrected)
+                    leaf_predictors.append(predicted)
+                    if k < sloped:
+                        leaf[k] = rhs(t_next, corrected)
+            finally:
+                # on a blow-up too: the frame reads the last accepted value
+                values[first:first + len(leaf_values)] = leaf_values
             predictors[first - 1:hi - 1] = leaf_predictors
             if hi < grid.node_count:
                 slopes[lo:hi] = leaf
                 leaves = hi // _LEAF
                 _spread(kernels, slopes, far_p, far_c, hi,
                         _LEAF * (leaves & -leaves))
-    except BlowUpError as exc:
-        # _located reads the last accepted value, which may still be listed
-        values[first:first + len(leaf_values)] = leaf_values
-        raise _located(exc, grid, values) from None
-    return SolutionTrace(grid=grid, values=values, predictors=predictors,
-                         method="caputo")
+
+    return _run("caputo", problem, h, corrector_iterations, march)

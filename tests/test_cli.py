@@ -424,6 +424,12 @@ def test_compare_checks_every_method_before_solving(tmp_path, monkeypatch, capsy
     assert "unknown method 'bogus'" in capsys.readouterr().err
     assert run_cli(*base, "--h", "0.01", "--methods", "conformable,classical") == 2
     assert "classical scheme requires order 1, got 0.5" in capsys.readouterr().err
+    # the conformable scale h**a / a overflows; the Caputo run comes first
+    assert run_cli("compare", "--problem", "example3", "--alpha", "1e-310",
+                   "--tau", "2", "--h", "0.001", "--methods", "caputo,conformable",
+                   "--output", out) == 2
+    assert ("scale h**a / a overflows at order 1e-310, step 0.001"
+            in capsys.readouterr().err)
 
 
 def test_closed_form_failure_leaves_no_partial_csv(tmp_path, capsys):
@@ -609,7 +615,7 @@ def test_subcommand_flags_and_help_are_pinned():
     (["solve", "--method", "conformable", "--alpha", "5e-324", "--h", "0.1"], "",
      "scale h**a / a overflows at order 5e-324, step 0.1"),
     (["convergence", "--method", "conformable", "--alpha", "1e-310", "--h0", "0.1",
-      "--levels", "3"], "", "scale h**a / a overflows at order 1e-310, step 0.1"),
+      "--levels", "3"], "", "scale h**a / a overflows at order 1e-310, step 0.025"),
 ])
 def test_option_error_messages(argv, spec, message, tmp_path, capsys):
     manifest = tmp_path / "run.spec"

@@ -488,21 +488,26 @@ def test_caputo_blow_up_at_leaf_edges_reports_location(node, t, last_value):
 def test_blow_up_guard_parity(y0, bad, monkeypatch):
     # f is 0 before node 3, so every solver holds y0 until its step-3
     # corrector meets the bad slope; with conformable blocks of 2 steps,
-    # step 3 opens a block, with blocks of 3 it closes one
+    # step 3 opens a block, with blocks of 3 it closes one.  The classical
+    # solver runs the same problem at order 1.
     h = 0.25
     rhs = lambda t, y: bad if t >= 3 * h else 0.0
     problem = _ivp(rhs, y0, 2.0, 0.5)
+    runs = [(cf.solve_conformable_pc, problem),
+            (cf.solve_conformable_pc_direct, problem),
+            (cf.solve_caputo_pc, problem),
+            (cf.solve_classical_pc,
+             dataclasses.replace(problem, order=cf.Alpha(1.0)))]
     for block in (2, 3, 4096):
         monkeypatch.setattr(cf.solvers, "_BLOCK", block)
         reports = []
-        for solve in (cf.solve_conformable_pc, cf.solve_conformable_pc_direct,
-                      cf.solve_caputo_pc):
+        for solve, run in runs:
             with pytest.raises(BlowUpError) as info:
-                solve(problem, h)
+                solve(run, h)
             exc = info.value
             assert not -cf.BLOWUP_LIMIT <= exc.value <= cf.BLOWUP_LIMIT
             reports.append((exc.step_index, exc.t, exc.last_value))
-        assert reports == [(3, 0.75, y0)] * 3, block
+        assert reports == [(3, 0.75, y0)] * 4, block
 
 
 @pytest.mark.parametrize("y0", [cf.BLOWUP_LIMIT, -cf.BLOWUP_LIMIT])
@@ -555,8 +560,18 @@ def test_corrector_iteration_knob():
     once = cf.solve_conformable_pc(problem, 0.01)
     twice = cf.solve_conformable_pc(problem, 0.01, corrector_iterations=2)
     assert float(np.max(np.abs(once.values - twice.values))) > 0.0
-    with pytest.raises(ValueError):
-        cf.solve_conformable_pc(problem, 0.01, corrector_iterations=0)
+    calls = []
+    counted = _ivp(lambda t, y: calls.append(t) or t * y, 1.0, 2.0, 0.5)
+    for solve, run in [(cf.solve_conformable_pc, counted),
+                       (cf.solve_conformable_pc_direct, counted),
+                       (cf.solve_caputo_pc, counted),
+                       (cf.solve_classical_pc,
+                        dataclasses.replace(counted, order=cf.Alpha(1.0)))]:
+        with pytest.raises(ValueError) as info:
+            solve(run, 0.01, corrector_iterations=0)
+        assert str(info.value) == "corrector needs at least one pass, got 0"
+        assert type(info.value) is ValueError
+    assert calls == []
 
 
 def test_trace_metadata():
