@@ -23,6 +23,7 @@ import numpy as np
 from .core import as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
+    METHODS,
     _exact_column,
     _floats,
     builtin_problems,
@@ -85,10 +86,11 @@ _MARKER_COLOR = "#d62728"
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 spacing."""
+    """Round tick positions inside [lo, hi] (lo < hi) at a 1/2/5 spacing.
+
+    Ticks are ``k * step``, so the only one near 0 is exactly 0.0.
+    """
     span = hi - lo
-    if not span > 0.0:
-        return [lo]
     raw = span / target
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
@@ -98,13 +100,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
             break
     first = math.ceil(lo / step - 1e-9)
     last = math.floor(hi / step + 1e-9)
-    return [k * step for k in range(first, last + 1)]
-
-
-def _tick_label(value: float) -> str:
-    if abs(value) < 1e-12:
-        return "0"
-    return f"{value:.6g}"
+    ticks = (k * step for k in range(first, last + 1))
+    return [tick for tick in ticks if lo <= tick <= hi]
 
 
 def write_svg(
@@ -128,7 +125,7 @@ def write_svg(
     x_lo, x_hi = float(times[0]), float(times[-1])
     y_lo = min([float(values.min())] + marker_ys)
     y_hi = max([float(values.max())] + marker_ys)
-    x_pad = 0.05 * (x_hi - x_lo) if x_hi > x_lo else 0.5
+    x_pad = 0.05 * (x_hi - x_lo)
     y_pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(0.5, 0.05 * abs(y_hi))
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
@@ -154,8 +151,6 @@ def write_svg(
     font = 'font-family="Helvetica,Arial,sans-serif" font-size="13"'
 
     for tick in _nice_ticks(x_lo, x_hi):
-        if tick < x_lo or tick > x_hi:
-            continue
         x = px(tick)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_SVG_H - _MARGIN_B}" x2="{x:.2f}" '
@@ -163,11 +158,9 @@ def write_svg(
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_SVG_H - _MARGIN_B + 20}" {font} '
-            f'text-anchor="middle">{_tick_label(tick)}</text>'
+            f'text-anchor="middle">{tick:.6g}</text>'
         )
     for tick in _nice_ticks(y_lo, y_hi):
-        if tick < y_lo or tick > y_hi:
-            continue
         y = py(tick)
         parts.append(
             f'<line x1="{_MARGIN_L - 6}" y1="{y:.2f}" x2="{_MARGIN_L}" '
@@ -175,7 +168,7 @@ def write_svg(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 10}" y="{y + 4:.2f}" {font} '
-            f'text-anchor="end">{_tick_label(tick)}</text>'
+            f'text-anchor="end">{tick:.6g}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_SVG_H - 12}" {font} '
@@ -359,7 +352,7 @@ _EXPECTS = {float: "a number", int: "an integer"}
 
 # (converter, default, help) of the options several subcommands take
 _PROBLEM = (str, _REQUIRED, "built-in problem id")
-_METHOD = (str, _REQUIRED, "classical | conformable | caputo")
+_METHOD = (str, _REQUIRED, " | ".join(METHODS))
 _ALPHA = (float, _REQUIRED, "fractional order in (0, 1]")
 _TAU = (float, None, "horizon (problem default when omitted)")
 _STEP = (float, _REQUIRED, "step size")

@@ -111,15 +111,16 @@ class NamedProblem:
         """Horizon used when the caller supplies none.
 
         Problems without a domain limit default to 2; limited problems
-        default to 1/2 at order 0.5 and clamp to 80% of the limit
-        elsewhere, keeping default runs away from the asymptote.
+        default to 90% of the limit floored to one significant digit (1/2
+        at order 0.5, 1 from 0.7 to 1): away from the asymptote, and a
+        whole number of round steps.
         """
         if self.domain_limit is None:
             return 2.0
-        a = as_alpha(alpha).value
-        if a == 0.5:
-            return 0.5
-        return 0.8 * self.domain_limit(a)
+        # 17 significant digits read back as this float, so their first
+        # digit alone reads back as a float no larger: 0.07, not 7 * 0.01
+        digits, exponent = f"{0.9 * self.domain_limit(alpha):.16e}".split("e")
+        return float(f"{digits[0]}e{exponent}")
 
     def _checked_horizon(self, alpha: Alpha, horizon: float | None) -> float:
         if horizon is None:

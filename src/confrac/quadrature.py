@@ -6,9 +6,10 @@ smooth factor:
 
 * rectangle rule -- piecewise-constant interpolant, coefficients
   ``(j + 1)**a - j**a`` with overall scale ``h**a / a``;
-* trapezoid rule -- piecewise-linear interpolant, coefficient 1 at the
-  origin, centred second differences of ``j**(a + 1)`` inside, and a
-  closing coefficient at the final node, with scale ``h**a / (a * (a + 1))``.
+* trapezoid rule -- piecewise-linear interpolant, centred second
+  differences of ``j**(a + 1)`` (the power at index -1 reads 0, so the
+  origin's coefficient is 1) and a closing coefficient at the final node,
+  with scale ``h**a / (a * (a + 1))``.
 
 Coefficients only depend on their own index, never on the grid length,
 which is what lets the solvers in :mod:`confrac.solvers` update running
@@ -29,7 +30,7 @@ so no cancellation occurs anywhere.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +103,7 @@ def rectangle_coefficient(j: int, alpha: AlphaLike) -> float:
     ``a / j`` times their size, so the relative error grows like
     ``j * eps / a``: against 50-digit mpmath at a = 0.5 it is 1.1e-13 at
     j = 1e3, 6.4e-13 at 1e5, 9.3e-11 at 1e6 and 1.6e-9 at 1e7 - 1.  The
-    ``expm1``/``log1p`` form that avoids this is ROADMAP item 2.
+    ``expm1``/``log1p`` form would avoid this; it is not used yet.
     """
     if j < 0:
         raise ValueError(f"coefficient index must be non-negative, got {j}")
@@ -113,18 +114,17 @@ def rectangle_coefficient(j: int, alpha: AlphaLike) -> float:
 def trapezoid_coefficient(j: int, alpha: AlphaLike) -> float:
     """Interior coefficient of the product trapezoid rule.
 
-    Equals 1 at j = 0 and ``(j-1)**(a+1) - 2*j**(a+1) + (j+1)**(a+1)``
-    for j >= 1.
+    Equals ``(j-1)**(a+1) - 2*j**(a+1) + (j+1)**(a+1)`` with the power at
+    index -1 read as 0, so entry 0 is exactly ``0 - 0 + 1 = 1``.
     """
     if j < 0:
         raise ValueError(f"coefficient index must be non-negative, got {j}")
     beta = as_alpha(alpha).value + 1.0
-    if j == 0:
-        return 1.0
     if j < _SERIES_CUTOFF or beta == 2.0:
         # exact in integer arithmetic when beta == 2; safe below the
         # cutoff where at most ~j**2 ulps cancel
-        return (j - 1.0) ** beta - 2.0 * float(j) ** beta + (j + 1.0) ** beta
+        return (max(j - 1.0, 0.0) ** beta - 2.0 * float(j) ** beta
+                + (j + 1.0) ** beta)
     return 2.0 * float(j) ** beta * _interior_series(1.0 / j, beta)
 
 
@@ -158,32 +158,26 @@ def _coefficient_block(
     ``_SERIES_CUTOFF``.
     """
     beta = a + 1.0
-    # trapezoid entry 0 is 1, not a difference; q starts one index before
-    # the first difference
-    first = max(lo, 1)
     # Python's pow, which the scalar functions use: numpy's vectorised
     # power may differ from it in the last place
     p = np.fromiter(map(pow, range(lo, hi + 1), repeat(a)), float, hi + 1 - lo)
-    q = np.fromiter(map(pow, range(first - 1, hi + 1), repeat(beta)), float,
-                    hi + 2 - first)
-    # q[k] holds index first - 1 + k; s is where index lo sits in q
-    s = lo - first + 1
+    # q[k] holds index lo - 1 + k, where the power at index -1 reads 0
+    q = np.fromiter(chain([pow(max(lo - 1, 0), beta)],
+                          map(pow, range(lo, hi + 1), repeat(beta))),
+                    float, hi + 2 - lo)
     rect = p[1:] - p[:-1]
-    trap = np.empty(hi - lo)
-    trap[first - lo:] = q[:-2] - 2.0 * q[1:-1] + q[2:]
-    if lo == 0:
-        trap[0] = 1.0
-    tail = beta * p[1:] + q[s:-1] - q[s + 1:]
+    trap = q[:-2] - 2.0 * q[1:-1] + q[2:]
+    tail = beta * p[1:] + q[1:-1] - q[2:]
     cut = _SERIES_CUTOFF
     start = max(lo, cut)
     if beta != 2.0 and start < hi:
         j = np.arange(start, hi, dtype=float)
-        trap[start - lo:] = (2.0 * q[start - first + 1:-1]
+        trap[start - lo:] = (2.0 * q[start - lo + 1:-1]
                              * _interior_series(1.0 / j, beta))
     start = max(lo, cut - 1)
     if a != 1.0 and start < hi:
         m = np.arange(start + 1, hi + 1, dtype=float)
-        tail[start - lo:] = q[start - first + 2:] * _tail_series(1.0 / m, beta)
+        tail[start - lo:] = q[start - lo + 2:] * _tail_series(1.0 / m, beta)
     return rect, trap, tail
 
 

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -67,11 +68,14 @@ _FFT_PROBE = (
     (["solve", "--method", "classical", "--alpha", "1"], False),
     # control: a Caputo grid past one 1,024-step leaf does use the FFT
     (["solve", "--method", "caputo", "--alpha", "0.5"], True),
+    # 1,024 nodes fill one leaf exactly and need no FFT
+    (["solve", "--method", "caputo", "--alpha", "0.5", "--tau", "1.023"], False),
 ])
 def test_only_long_caputo_runs_load_fft(argv, loads_fft, tmp_path):
     if argv[0] == "solve":
-        argv = argv + ["--problem", "example1", "--tau", "2", "--h", "0.001",
-                       "--output", str(tmp_path / "run.csv")]
+        # defaults first: a later flag overrides an earlier one
+        argv = [argv[0], "--problem", "example1", "--tau", "2", "--h", "0.001",
+                "--output", str(tmp_path / "run.csv"), *argv[1:]]
     proc = subprocess.run([sys.executable, "-c", _FFT_PROBE, *argv],
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -122,6 +126,18 @@ def test_solve_svg_markers(tmp_path):
     assert text.count("<circle") == 24  # 23 sampled markers + 1 legend swatch
     assert 'viewBox="0 0 800 600"' in text
     assert "Numerical solution" in text and "Exact solution" in text
+
+
+def test_svg_tick_labels_on_a_tiny_range(tmp_path):
+    out = tmp_path / "tiny.svg"
+    assert run_cli(
+        "solve", "--problem", "example3", "--method", "conformable",
+        "--alpha", "0.5", "--tau", "2e-12", "--h", "2e-14",
+        "--output", str(out), "--format", "svg",
+    ) == 0
+    # the x tick labels, then the x axis title
+    labels = re.findall(r'text-anchor="middle">([^<]*)</text>', out.read_text())
+    assert labels == ["0", "5e-13", "1e-12", "1.5e-12", "2e-12", "t"]
 
 
 def test_solve_svg_marker_stride(tmp_path):
@@ -467,6 +483,16 @@ def test_last_node_on_asymptote_is_refused_before_solving(
                    "--output", str(out)) == 2
     assert "last grid node" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["0.3", "0.7"])
+def test_default_horizon_takes_round_steps(alpha, tmp_path):
+    # no --tau: example2 defaults to 90% of its domain limit, floored to
+    # one significant digit (0.07 at order 0.3, 1 at 0.7)
+    assert run_cli(
+        "solve", "--problem", "example2", "--method", "conformable",
+        "--alpha", alpha, "--h", "0.001", "--output", str(tmp_path / "x.csv"),
+    ) == 0
 
 
 def test_blow_up_exit_code(tmp_path, capsys):

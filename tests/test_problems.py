@@ -75,9 +75,7 @@ def test_default_horizons():
     assert unlimited.default_horizon(1.0) == 2.0
     limited = cf.get_problem("example2")
     assert limited.default_horizon(0.5) == 0.5
-    assert limited.default_horizon(0.7) == pytest.approx(
-        0.8 * limited.domain_limit(0.7)
-    )
+    assert limited.default_horizon(0.7) == 1.0
 
 
 def test_exact_solutions_reject_negative_time():

@@ -49,6 +49,13 @@ def test_tail_coefficient_first_panel_equals_alpha():
         assert cf.trapezoid_tail_coefficient(0, a) == pytest.approx(a, rel=1e-14)
 
 
+@pytest.mark.parametrize("a", (1e-300, 0.05, 0.5, 1.0))
+def test_trapezoid_entry_zero_is_one(a):
+    # the second difference with the power at index -1 read as 0
+    assert cf.trapezoid_coefficient(0, a) == 1.0
+    assert coefficient_tables(3, a)[1][0] == 1.0
+
+
 def test_interior_coefficients_do_not_depend_on_panel_count():
     for a in (0.3, 0.8):
         w_small = cf.trapezoid_weights(40, a)
