@@ -85,23 +85,31 @@ _CURVE_COLOR = "#1f77b4"
 _MARKER_COLOR = "#d62728"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions inside [lo, hi] (lo < hi) at a 1/2/5 spacing.
+def _nice_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Round tick positions inside [lo, hi] (lo < hi) with their labels.
 
-    Ticks are ``k * step``, so the only one near 0 is exactly 0.0.
+    The spacing is 1, 2 or 5 times a power of ten and cuts the span into at
+    most six steps.  Ticks are ``k * step``, so the only one near 0 is
+    exactly 0.0.  Labels take the fewest significant digits, 6 or more,
+    that keep them apart.
     """
     span = hi - lo
-    raw = span / target
-    magnitude = 10.0 ** math.floor(math.log10(raw))
+    magnitude = 10.0 ** math.floor(math.log10(span / 6))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 5.0):
-        if span / (mult * magnitude) <= target:
+        if span / (mult * magnitude) <= 6:
             step = mult * magnitude
             break
     first = math.ceil(lo / step - 1e-9)
     last = math.floor(hi / step + 1e-9)
     ticks = (k * step for k in range(first, last + 1))
-    return [tick for tick in ticks if lo <= tick <= hi]
+    ticks = [tick for tick in ticks if lo <= tick <= hi]
+    # 17 significant digits tell any two distinct floats apart
+    for digits in range(6, 18):
+        labels = [f"{tick:.{digits}g}" for tick in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return list(zip(ticks, labels))
 
 
 def write_svg(
@@ -150,7 +158,7 @@ def write_svg(
     ]
     font = 'font-family="Helvetica,Arial,sans-serif" font-size="13"'
 
-    for tick in _nice_ticks(x_lo, x_hi):
+    for tick, label in _nice_ticks(x_lo, x_hi):
         x = px(tick)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_SVG_H - _MARGIN_B}" x2="{x:.2f}" '
@@ -158,9 +166,9 @@ def write_svg(
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_SVG_H - _MARGIN_B + 20}" {font} '
-            f'text-anchor="middle">{tick:.6g}</text>'
+            f'text-anchor="middle">{label}</text>'
         )
-    for tick in _nice_ticks(y_lo, y_hi):
+    for tick, label in _nice_ticks(y_lo, y_hi):
         y = py(tick)
         parts.append(
             f'<line x1="{_MARGIN_L - 6}" y1="{y:.2f}" x2="{_MARGIN_L}" '
@@ -168,7 +176,7 @@ def write_svg(
         )
         parts.append(
             f'<text x="{_MARGIN_L - 10}" y="{y + 4:.2f}" {font} '
-            f'text-anchor="end">{tick:.6g}</text>'
+            f'text-anchor="end">{label}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_SVG_H - 12}" {font} '

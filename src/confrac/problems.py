@@ -52,7 +52,12 @@ def exact_expkernel(t: float, alpha: AlphaLike) -> float:
     """exp(t**a / a), the eigenfunction of the conformable derivative."""
     a = as_alpha(alpha).value
     t = _checked_time(t)
-    return math.exp(t**a / a)
+    try:
+        return math.exp(t**a / a)
+    except OverflowError:
+        raise DomainError(
+            f"exp(t**a / a) overflows at t = {t!r}, order {a!r}"
+        ) from None
 
 
 def exact_example1(t: float, alpha: AlphaLike) -> float:

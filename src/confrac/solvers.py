@@ -1,29 +1,29 @@
 """Predictor-corrector time steppers for first-order and fractional problems.
 
 Three schemes, four solvers, one problem/trace model.  Every solver is its
-stepping loop inside one frame, :func:`_run`, which refuses fewer than one
-corrector pass, builds the grid through :func:`solver_grid` (the one home
-of the checks a solver makes on its grid and order before its first step),
-allocates the output arrays, locates a blow-up and returns the trace:
+stepping loop inside one frame, :func:`_run`, which builds the grid through
+:func:`solver_grid` (the one home of the checks a solver makes on its grid
+and order before its first step), allocates the output arrays, locates a
+blow-up and returns the trace:
 
 * :func:`solve_classical_pc` -- forward-Euler predictor with a trapezoid
-  corrector pass, for ordinary (order-1) problems.
+  corrector, for ordinary (order-1) problems.
 * :func:`solve_conformable_pc` -- product rectangle predictor plus product
   trapezoid corrector against the kernel ``x**(a-1)``.  Because those
   coefficients depend only on their own index, the whole history enters
   through two running accumulators and one step costs O(1).
 * :func:`solve_caputo_pc` -- the Adams-Bashforth-Moulton scheme for the
   Caputo derivative of order in (0, 1].  Its weights depend on the
-  distance to the current node, so the history sums are convolutions;
-  summed by divide and conquer with FFTs, a solve of n nodes costs
-  O(n log**2 n).
+  distance to the current node, so the history sums are convolutions,
+  summed by divide and conquer with FFTs.  Those FFTs are cut into chunk
+  pairs of ``_FFT_SIZE`` points, so past that many nodes the far field
+  grows like n**2 / ``_FFT_SIZE``, not n log**2 n.
 
-All solvers apply the corrector as a fixed number of PECE passes
-(``corrector_iterations``, default 1) and abort with :class:`BlowUpError`
-as soon as an iterate leaves ``[-BLOWUP_LIMIT, BLOWUP_LIMIT]`` or goes
-non-finite.  Every loop spells that test inline, as
-``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` (false for NaN and +-inf too), so
-the guard costs no call.
+All solvers apply the corrector once per step (PECE) and abort with
+:class:`BlowUpError` as soon as a predicted or corrected value leaves
+``[-BLOWUP_LIMIT, BLOWUP_LIMIT]`` or goes non-finite.  Every loop spells
+that test inline, as ``-BLOWUP_LIMIT <= v <= BLOWUP_LIMIT`` (false for NaN
+and +-inf too), so the guard costs no call.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ class SolutionTrace:
     """Per-node output of one solver run.
 
     ``values[j]`` approximates y at node j; ``predictors[j - 1]`` holds the
-    predicted (pre-correction) value at node j when the scheme produces
-    one.
+    predicted (pre-correction) value at node j.
     """
 
     grid: UniformGrid
     values: np.ndarray
-    predictors: np.ndarray | None
+    predictors: np.ndarray
     method: str
 
     def __post_init__(self):
@@ -111,14 +110,13 @@ class SolutionTrace:
         if not np.all(np.isfinite(values)):
             raise ValueError("trace contains non-finite values")
         object.__setattr__(self, "values", values)
-        if self.predictors is not None:
-            preds = np.asarray(self.predictors, dtype=float)
-            if preds.shape != (self.grid.node_count - 1,):
-                raise ValueError(
-                    f"expected {self.grid.node_count - 1} predictor values, "
-                    f"got shape {preds.shape}"
-                )
-            object.__setattr__(self, "predictors", preds)
+        preds = np.asarray(self.predictors, dtype=float)
+        if preds.shape != (self.grid.node_count - 1,):
+            raise ValueError(
+                f"expected {self.grid.node_count - 1} predictor values, "
+                f"got shape {preds.shape}"
+            )
+        object.__setattr__(self, "predictors", preds)
 
     def times(self) -> np.ndarray:
         return self.grid.nodes()
@@ -128,26 +126,22 @@ class SolutionTrace:
         return float(self.values[-1])
 
 
-def _run(method, problem, h, corrector_iterations, march) -> SolutionTrace:
+def _run(method, problem, h, march) -> SolutionTrace:
     """The frame around every solver's stepping loop.
 
-    Refuses fewer than one corrector pass, builds the grid through
-    :func:`solver_grid`, and allocates ``values`` (with ``values[0] = y0``)
-    and ``predictors``.  ``march(grid, passes, values, predictors)`` then
-    fills both arrays; a :class:`BlowUpError` it raises comes back with the
-    node's time and the last accepted value filled in, so a loop must have
-    written that value first.  The loops pay nothing for it.
+    Builds the grid through :func:`solver_grid` and allocates ``values``
+    (with ``values[0] = y0``) and ``predictors``.  ``march(grid, values,
+    predictors)`` then fills both arrays; a :class:`BlowUpError` it raises
+    comes back with the node's time and the last accepted value filled in,
+    so a loop must have written that value first.  The loops pay nothing
+    for it.
     """
-    if corrector_iterations < 1:
-        raise ValueError(
-            f"corrector needs at least one pass, got {corrector_iterations}"
-        )
     grid = solver_grid(method, problem.order, problem.horizon, h)
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
     values[0] = problem.y0
     try:
-        march(grid, range(corrector_iterations), values, predictors)
+        march(grid, values, predictors)
     except BlowUpError as exc:
         step = exc.step_index
         raise BlowUpError(step, exc.value, t=grid.node(step),
@@ -160,7 +154,8 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
     """The grid the ``method`` solver steps over, after the checks it makes
     on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``,
     at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve of
-    n nodes costs O(n log**2 n) time and about 80 bytes per node) and, for
+    n nodes takes about 80 bytes per node, and past ``_FFT_SIZE`` nodes its
+    time grows like n**2 / ``_FFT_SIZE``) and, for
     ``"conformable"``, scales that :func:`product_scales` can form.
     """
     grid = make_grid(horizon, h)
@@ -176,17 +171,13 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
     return grid
 
 
-def solve_classical_pc(
-    problem: InitialValueProblem,
-    h: float,
-    corrector_iterations: int = 1,
-) -> SolutionTrace:
+def solve_classical_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
     """Euler-predictor / trapezoid-corrector run over the whole grid.
 
     Only defined for ``problem.order == 1``; fractional orders belong to
     :func:`solve_conformable_pc`.
     """
-    def march(grid, passes, values, predictors):
+    def march(grid, values, predictors):
         rhs, y, step_size = problem.rhs, problem.y0, h
         limit = BLOWUP_LIMIT
         for step in range(1, grid.node_count):
@@ -196,23 +187,17 @@ def solve_classical_pc(
             predicted = y + step_size * f_prev
             if not -limit <= predicted <= limit:
                 raise BlowUpError(step, predicted)
-            corrected = predicted
-            for _ in passes:
-                corrected = y + 0.5 * step_size * (f_prev + rhs(t_next, corrected))
-                if not -limit <= corrected <= limit:
-                    raise BlowUpError(step, corrected)
+            corrected = y + 0.5 * step_size * (f_prev + rhs(t_next, predicted))
+            if not -limit <= corrected <= limit:
+                raise BlowUpError(step, corrected)
             values[step] = corrected
             predictors[step - 1] = predicted
             y = corrected
 
-    return _run("classical", problem, h, corrector_iterations, march)
+    return _run("classical", problem, h, march)
 
 
-def solve_conformable_pc(
-    problem: InitialValueProblem,
-    h: float,
-    corrector_iterations: int = 1,
-) -> SolutionTrace:
+def solve_conformable_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
     """Product rectangle/trapezoid predictor-corrector run, O(1) per step.
 
     The whole history lives in two running sums held in local floats.
@@ -229,7 +214,7 @@ def solve_conformable_pc(
     nothing grows with the grid.  Within a block, steps run in one loop
     with no call per step besides the right-hand side.
     """
-    def march(grid, passes, values, predictors):
+    def march(grid, values, predictors):
         a = problem.order.value
         rhs, y0 = problem.rhs, problem.y0
         cte1, cte2 = product_scales(a, grid.step)
@@ -250,24 +235,20 @@ def solve_conformable_pc(
             ):
                 if not -limit <= accumulator <= limit:
                     raise BlowUpError(step, accumulator)
-                corrected = accumulator
-                for _ in passes:
-                    corrected = history + tail_weight * rhs(t_next, corrected)
-                    if not -limit <= corrected <= limit:
-                        raise BlowUpError(step, corrected)
+                corrected = history + tail_weight * rhs(t_next, accumulator)
+                if not -limit <= corrected <= limit:
+                    raise BlowUpError(step, corrected)
                 f_next = rhs(t_next, corrected)
                 values[step] = corrected
                 predictors[step - 1] = accumulator
                 accumulator += rect_weight * f_next
                 history += trap_weight * f_next
 
-    return _run("conformable", problem, h, corrector_iterations, march)
+    return _run("conformable", problem, h, march)
 
 
 def solve_conformable_pc_direct(
-    problem: InitialValueProblem,
-    h: float,
-    corrector_iterations: int = 1,
+    problem: InitialValueProblem, h: float
 ) -> SolutionTrace:
     """Reference variant of :func:`solve_conformable_pc` without accumulators.
 
@@ -275,7 +256,7 @@ def solve_conformable_pc_direct(
     as an independent route for cross-checking the accumulator algebra;
     results agree with the fast path to rounding.
     """
-    def march(grid, passes, values, predictors):
+    def march(grid, values, predictors):
         rhs, y0 = problem.rhs, problem.y0
         cte1, cte2 = product_scales(problem.order.value, grid.step)
         panels = grid.panel_count
@@ -291,17 +272,15 @@ def solve_conformable_pc_direct(
                 raise BlowUpError(step, predicted)
             partial = y0 + cte2 * float(np.dot(trap[:step], hist))
             closing = cte2 * float(tail[step - 1])
-            corrected = predicted
-            for _ in passes:
-                corrected = partial + closing * rhs(t_next, corrected)
-                if not -limit <= corrected <= limit:
-                    raise BlowUpError(step, corrected)
+            corrected = partial + closing * rhs(t_next, predicted)
+            if not -limit <= corrected <= limit:
+                raise BlowUpError(step, corrected)
             values[step] = corrected
             predictors[step - 1] = predicted
             if step < panels:
                 slopes[step] = rhs(t_next, corrected)
 
-    return _run("conformable", problem, h, corrector_iterations, march)
+    return _run("conformable", problem, h, march)
 
 
 def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
@@ -415,11 +394,7 @@ def _spread(kernels, slopes, far_p, far_c, end, width):
         far_c[start:stop] += fft.irfft(acc_c, size)[chunk:chunk + stop - start]
 
 
-def solve_caputo_pc(
-    problem: InitialValueProblem,
-    h: float,
-    corrector_iterations: int = 1,
-) -> SolutionTrace:
+def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
     """Adams-Bashforth-Moulton run for a Caputo problem of order in (0, 1].
 
     Fractional rectangle predictor, fractional trapezoid corrector; the
@@ -431,8 +406,11 @@ def solve_caputo_pc(
     far-field sums read from two per-solve arrays.  After each leaf, the
     power-of-two block of slopes that ends there is added into the
     far-field sums of the equally long block that follows, by FFT
-    convolution (:func:`_spread`).  That makes a solve O(n log**2 n).
-    Grids of at most ``_LEAF`` nodes never reach an FFT.
+    convolution (:func:`_spread`).  Up to ``_FFT_SIZE`` nodes that makes a
+    solve O(n log**2 n); wider blocks are cut into chunk pairs of
+    ``_FFT_SIZE`` points, so past it the far field grows like
+    n**2 / ``_FFT_SIZE``.  Grids of at most ``_LEAF`` nodes never reach an
+    FFT.
 
     Past the first leaf, a step makes no numpy slice: its dots read views
     of the near-field weights and of a one-leaf slope buffer, built once
@@ -440,7 +418,7 @@ def solve_caputo_pc(
     and predictor go into Python lists written out once per leaf.  The leaf's
     slopes are copied into the whole-grid slope array before each spread.
     """
-    def march(grid, passes, values, predictors):
+    def march(grid, values, predictors):
         a = problem.order.value
         rhs, y0, step_size = problem.rhs, problem.y0, grid.step
         panels = grid.panel_count
@@ -487,11 +465,9 @@ def solve_caputo_pc(
                     if not -limit <= predicted <= limit:
                         raise BlowUpError(lo + k, predicted)
                     head += c_far + float(trap_w.dot(c_near))
-                    corrected = predicted
-                    for _ in passes:
-                        corrected = y0 + corrector_scale * (head + rhs(t_next, corrected))
-                        if not -limit <= corrected <= limit:
-                            raise BlowUpError(lo + k, corrected)
+                    corrected = y0 + corrector_scale * (head + rhs(t_next, predicted))
+                    if not -limit <= corrected <= limit:
+                        raise BlowUpError(lo + k, corrected)
                     leaf_values.append(corrected)
                     leaf_predictors.append(predicted)
                     if k < sloped:
@@ -506,4 +482,4 @@ def solve_caputo_pc(
                 _spread(kernels, slopes, far_p, far_c, hi,
                         _LEAF * (leaves & -leaves))
 
-    return _run("caputo", problem, h, corrector_iterations, march)
+    return _run("caputo", problem, h, march)

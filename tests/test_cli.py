@@ -135,9 +135,13 @@ def test_svg_tick_labels_on_a_tiny_range(tmp_path):
         "--alpha", "0.5", "--tau", "2e-12", "--h", "2e-14",
         "--output", str(out), "--format", "svg",
     ) == 0
+    text = out.read_text()
     # the x tick labels, then the x axis title
-    labels = re.findall(r'text-anchor="middle">([^<]*)</text>', out.read_text())
+    labels = re.findall(r'text-anchor="middle">([^<]*)</text>', text)
     assert labels == ["0", "5e-13", "1e-12", "1.5e-12", "2e-12", "t"]
+    # the y ticks 0.999999, 0.9999995 and 1 need a seventh digit apart
+    labels = re.findall(r'text-anchor="end">([^<]*)</text>', text)
+    assert labels == ["0.999999", "0.9999995", "1"]
 
 
 def test_solve_svg_marker_stride(tmp_path):
@@ -458,6 +462,22 @@ def test_closed_form_failure_leaves_no_partial_csv(tmp_path, capsys):
         "--h", "0.0006168502750680849", "--output", str(out),
     ) == 2
     assert "last grid node" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--method", "caputo", "--h", "0.1"),
+    ("compare", "--methods", "caputo", "--h", "0.1"),
+    ("convergence", "--method", "caputo", "--h0", "0.1", "--levels", "2"),
+])
+def test_overflowing_closed_form_exits_2(command, tmp_path, capsys):
+    # exp(t**a / a) passes the float range at every node past 0 at a = 0.001
+    out = tmp_path / "x.csv"
+    assert run_cli(*command, "--problem", "expkernel", "--alpha", "0.001",
+                   "--tau", "2", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("confrac: exp(t**a / a) overflows at t = ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

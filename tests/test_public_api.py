@@ -78,10 +78,10 @@ PUBLIC_PARAMETERS = {
     "rectangle_coefficient": ["j", "alpha"],
     "rectangle_weights": ["n", "alpha"],
     "refinement_errors": ["named", "method", "alpha", "tau", "h0", "levels"],
-    "solve_caputo_pc": ["problem", "h", "corrector_iterations"],
-    "solve_classical_pc": ["problem", "h", "corrector_iterations"],
-    "solve_conformable_pc": ["problem", "h", "corrector_iterations"],
-    "solve_conformable_pc_direct": ["problem", "h", "corrector_iterations"],
+    "solve_caputo_pc": ["problem", "h"],
+    "solve_classical_pc": ["problem", "h"],
+    "solve_conformable_pc": ["problem", "h"],
+    "solve_conformable_pc_direct": ["problem", "h"],
     "solve_named": ["named", "method", "alpha", "h", "horizon"],
     "trapezoid_coefficient": ["j", "alpha"],
     "trapezoid_tail_coefficient": ["n", "alpha"],

@@ -95,14 +95,13 @@ def test_conformable_incremental_matches_direct_summation():
     assert np.array_equal(fast.times(), slow.times())
 
 
-@pytest.mark.parametrize("iterations", [1, 2])
-def test_conformable_blocks_match_direct_summation(iterations, monkeypatch):
+def test_conformable_blocks_match_direct_summation(monkeypatch):
     # 12,501 nodes: three full blocks of 4,096 steps and a partial fourth
     problem = _ivp(lambda t, y: t * y, 1.0, 1.25, 0.5)
     h = 1e-4
-    fast = cf.solve_conformable_pc(problem, h, iterations)
+    fast = cf.solve_conformable_pc(problem, h)
     assert fast.grid.node_count > 3 * cf.solvers._BLOCK + 1
-    slow = cf.solve_conformable_pc_direct(problem, h, iterations)
+    slow = cf.solve_conformable_pc_direct(problem, h)
     for ours, reference in ((fast.values, slow.values),
                             (fast.predictors, slow.predictors)):
         rel = np.abs(ours - reference) / np.abs(reference)
@@ -110,7 +109,7 @@ def test_conformable_blocks_match_direct_summation(iterations, monkeypatch):
     # the block length changes no bit
     for block in (7, 10**7):
         monkeypatch.setattr(cf.solvers, "_BLOCK", block)
-        other = cf.solve_conformable_pc(problem, h, iterations)
+        other = cf.solve_conformable_pc(problem, h)
         assert np.array_equal(other.values, fast.values)
         assert np.array_equal(other.predictors, fast.predictors)
 
@@ -191,7 +190,7 @@ def test_caputo_weights_head_matches_closing_coefficient():
         cf.caputo_weights(-1, 0.5)
 
 
-def _abm_oracle(problem, h, corrector_iterations=1):
+def _abm_oracle(problem, h):
     """The Caputo ABM recursion, re-run from the public weight vectors.
 
     Weights for node n + 1 are suffixes of ``caputo_weights(panels)``; the
@@ -214,11 +213,9 @@ def _abm_oracle(problem, h, corrector_iterations=1):
         head = cf.trapezoid_tail_coefficient(n, a) * slopes[0] + float(
             np.dot(corrector_w[panels + 1 - n:panels + 1], slopes[1:n + 1])
         )
-        corrected = predicted
-        for _ in range(corrector_iterations):
-            corrected = y0 + corrector_scale * (
-                head + corrector_w[-1] * rhs(t, corrected)
-            )
+        corrected = y0 + corrector_scale * (
+            head + corrector_w[-1] * rhs(t, predicted)
+        )
         slopes[n + 1] = rhs(t, corrected)
         values.append(corrected)
         predictors.append(predicted)
@@ -241,16 +238,15 @@ def test_caputo_solver_matches_weight_vector_oracle(a):
 _RECURSION_GAP = 4e-15
 
 
-@pytest.mark.parametrize("nodes,iterations",
-                         [(1025, 1), (1025, 2), (4097, 1), (4097, 2), (25601, 1)])
+@pytest.mark.parametrize("nodes", [1025, 4097, 25601])
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 1.0])
-def test_caputo_recursive_history_matches_oracle(a, nodes, iterations):
+def test_caputo_recursive_history_matches_oracle(a, nodes):
     # past one 1,024-step leaf the far-field sums come from FFT blocks;
     # from 4,097 nodes on, blocks are also cut into several FFT chunks
     problem = cf.get_problem("example1").problem(a, 2.0)
     h = 2.0 / (nodes - 1)
-    trace = cf.solve_caputo_pc(problem, h, iterations)
-    values, predictors = _abm_oracle(problem, h, iterations)
+    trace = cf.solve_caputo_pc(problem, h)
+    values, predictors = _abm_oracle(problem, h)
     assert np.max(np.abs(trace.values - values) / values) <= _RECURSION_GAP
     assert np.max(np.abs(trace.predictors - predictors) / predictors) <= _RECURSION_GAP
 
@@ -300,22 +296,19 @@ def test_caputo_generates_each_coefficient_once_in_blocks(monkeypatch):
             ) == _CAPUTO_25601_SHA256
 
 
-# sha256 of values.tobytes() and predictors.tobytes() of the 3,073-node,
-# two-pass solve below, frozen from the solver that sliced its near-field
-# operands at every step
-_CAPUTO_3073_TWO_PASS_SHA256 = (
-    "a0a2ddc98d014cc4c081991fea328b9e7158efcc9805010e9c6f8c9272b9d04b",
-    "9a03b546517027347be6ed0ac14cf8c453a47adef150d651b28ed0925373c6d0",
+# sha256 of values.tobytes() and predictors.tobytes() of the 3,073-node
+# solve below, frozen from the solver that still took a corrector pass count
+_CAPUTO_3073_SHA256 = (
+    "9c9fe852bb00ebbe8af4067f0a440ae4a7dd4c022d5d0b34f555c7c3f34c2764",
+    "c6e5c26ed7397141be22d65a1566c6f95fc91116420dd78597e730f455386234",
 )
 
 
-@pytest.mark.parametrize("nodes,iterations,rhs_calls,digests", [
-    (25601, 1, 51_200, _CAPUTO_25601_SHA256),
-    (3073, 2, 9_216, _CAPUTO_3073_TWO_PASS_SHA256),
+@pytest.mark.parametrize("nodes,rhs_calls,digests", [
+    (25601, 51_200, _CAPUTO_25601_SHA256),
+    (3073, 6_144, _CAPUTO_3073_SHA256),
 ])
-def test_caputo_bits_and_right_hand_side_calls_are_frozen(
-    nodes, iterations, rhs_calls, digests
-):
+def test_caputo_bits_and_right_hand_side_calls_are_frozen(nodes, rhs_calls, digests):
     named = cf.get_problem("example1").problem(0.5, 2.0)
     calls = []
 
@@ -324,11 +317,11 @@ def test_caputo_bits_and_right_hand_side_calls_are_frozen(
         return named.rhs(t, y)
 
     trace = cf.solve_caputo_pc(dataclasses.replace(named, rhs=counted),
-                               2.0 / (nodes - 1), iterations)
+                               2.0 / (nodes - 1))
     panels = nodes - 1
-    # slope 0, then per step its corrector passes and its slope, except
-    # the last node's slope, which no step reads
-    assert len(calls) == 1 + iterations * panels + (panels - 1) == rhs_calls
+    # slope 0, then per step its corrector and its slope, except the last
+    # node's slope, which no step reads
+    assert len(calls) == 1 + panels + (panels - 1) == rhs_calls
     assert (hashlib.sha256(trace.values.tobytes()).hexdigest(),
             hashlib.sha256(trace.predictors.tobytes()).hexdigest()) == digests
 
@@ -535,16 +528,20 @@ def test_problem_validation():
 def test_trace_validation():
     grid = cf.make_grid(1.0, 0.5)
     with pytest.raises(ValueError):
-        cf.SolutionTrace(grid=grid, values=np.zeros(5), predictors=None, method="x")
+        cf.SolutionTrace(
+            grid=grid, values=np.zeros(5), predictors=np.zeros(2), method="x"
+        )
     with pytest.raises(ValueError):
         cf.SolutionTrace(
-            grid=grid, values=np.array([0.0, math.inf, 0.0]), predictors=None,
-            method="x",
+            grid=grid, values=np.array([0.0, math.inf, 0.0]),
+            predictors=np.zeros(2), method="x",
         )
     with pytest.raises(ValueError):
         cf.SolutionTrace(
             grid=grid, values=np.zeros(3), predictors=np.zeros(5), method="x"
         )
+    with pytest.raises(ValueError):
+        cf.SolutionTrace(grid=grid, values=np.zeros(3), predictors=None, method="x")
 
 
 def test_traces_are_deterministic():
@@ -553,25 +550,6 @@ def test_traces_are_deterministic():
     second = cf.solve_conformable_pc(problem, 0.01)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.predictors, second.predictors)
-
-
-def test_corrector_iteration_knob():
-    problem = _ivp(lambda t, y: t * y, 1.0, 2.0, 0.5)
-    once = cf.solve_conformable_pc(problem, 0.01)
-    twice = cf.solve_conformable_pc(problem, 0.01, corrector_iterations=2)
-    assert float(np.max(np.abs(once.values - twice.values))) > 0.0
-    calls = []
-    counted = _ivp(lambda t, y: calls.append(t) or t * y, 1.0, 2.0, 0.5)
-    for solve, run in [(cf.solve_conformable_pc, counted),
-                       (cf.solve_conformable_pc_direct, counted),
-                       (cf.solve_caputo_pc, counted),
-                       (cf.solve_classical_pc,
-                        dataclasses.replace(counted, order=cf.Alpha(1.0)))]:
-        with pytest.raises(ValueError) as info:
-            solve(run, 0.01, corrector_iterations=0)
-        assert str(info.value) == "corrector needs at least one pass, got 0"
-        assert type(info.value) is ValueError
-    assert calls == []
 
 
 def test_trace_metadata():
