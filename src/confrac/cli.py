@@ -6,7 +6,7 @@ or SVG), ``convergence`` (step-halving sweep to CSV), ``compare``
 error, 3 solver blow-up.
 
 Numbers are written with 17 significant digits so the text round-trips
-doubles losslessly; repeated runs of the same spec produce byte-identical
+doubles losslessly; repeated runs with the same options produce byte-identical
 files.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -332,26 +331,6 @@ def cmd_compare(
 # Argument handling
 
 
-def _read_spec_file(path: str) -> dict[str, str]:
-    """Parse a key = value manifest; '#' starts a comment."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read spec file {path!r}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if not sep or not key or not value:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        values[key] = value
-    return values
-
-
 #: default of an option that has none: leaving it out is a usage error
 _REQUIRED = object()
 
@@ -367,9 +346,9 @@ _STEP = (float, _REQUIRED, "step size")
 _OUTPUT = (str, _REQUIRED, "output file path")
 
 #: per subcommand, its help and its options, keyed as the ``cmd_*``
-#: parameters are; each key is a spec-file key and, with ``_`` written
-#: ``-``, a flag.  Options are resolved in table order, so when several
-#: are at fault the first one's message is the one shown
+#: parameters are; each key, with ``_`` written ``-``, is a flag.  Options
+#: are resolved in table order, so when several are at fault the first
+#: one's message is the one shown
 _OPTIONS = {
     "solve": ("run one solve and write CSV or SVG", {
         "problem": _PROBLEM,
@@ -378,8 +357,7 @@ _OPTIONS = {
         "h": _STEP,
         "tau": _TAU,
         "output": _OUTPUT,
-        # an empty --format also means csv
-        "format": (lambda value: value or "csv", "csv", "csv (default) or svg"),
+        "format": (str, "csv", "csv (default) or svg"),
         "marker_stride": (int, DEFAULT_MARKER_STRIDE,
                           "node stride between exact-solution markers (svg)"),
     }),
@@ -410,18 +388,10 @@ def _flag(key: str) -> str:
 
 
 def _options(args: argparse.Namespace) -> dict[str, object]:
-    """The subcommand's options: flags over spec-file values over defaults."""
-    table = _OPTIONS[args.command][1]
-    from_file = _read_spec_file(args.spec) if args.spec else {}
-    unknown = sorted(set(from_file) - set(table))
-    if unknown:
-        raise ValueError(
-            f"spec file sets keys not used by this command: {', '.join(unknown)}"
-        )
+    """The subcommand's options: its flags over the table's defaults."""
     options = {}
-    for key, (convert, default, _) in table.items():
+    for key, (convert, default, _) in _OPTIONS[args.command][1].items():
         value = getattr(args, key)
-        value = from_file.get(key) if value is None else value
         if value is None and default is _REQUIRED:
             raise ValueError(f"missing required option {_flag(key)}")
         try:
@@ -444,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=summary)
         for key, (_, _, text) in table.items():
             p.add_argument(_flag(key), dest=key, help=text)
-        p.add_argument("--spec", help="key = value manifest; flags override it")
     return parser
 
 

@@ -35,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AlphaLike, as_alpha
-from .errors import DomainError
+from .core import MAX_NODES, AlphaLike, as_alpha
+from .errors import DomainError, GridError
 
 #: index from which coefficients switch to the cancellation-free series
 _SERIES_CUTOFF = 128
@@ -191,10 +191,13 @@ def coefficient_tables(
     ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.  The arrays are
     filled from :func:`_coefficient_block` 4,096 indices at a time, so the
     series temporaries stay the size of one block and the tables cost
-    their own 24 bytes per index.
+    their own 24 bytes per index.  Raises :class:`GridError`, before
+    allocating, unless ``n < MAX_NODES`` (at most one index per grid node).
     """
     if n < 0:
         raise ValueError(f"panel index must be non-negative, got {n}")
+    if n >= MAX_NODES:
+        raise GridError(f"panel index must be below {MAX_NODES}, got {n}")
     a = as_alpha(alpha).value
     rect, trap, tail = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     for lo in range(0, n + 1, 4096):

@@ -297,17 +297,6 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
     return rect[::-1].copy(), np.concatenate(([tail[n]], trap[::-1]))
 
 
-def _kernel_pair(predictor, corrector):
-    """Transforms of one predictor and one corrector kernel.
-
-    ``numpy.fft`` is imported here, so runs that build no kernel (and every
-    other solver) do not load it.
-    """
-    from numpy import fft
-
-    return fft.rfft(predictor), fft.rfft(corrector)
-
-
 def _caputo_coefficients(a, panels):
     """Closing weights, near-field weights and FFT kernels of one Caputo solve.
 
@@ -331,9 +320,14 @@ def _caputo_coefficients(a, panels):
     reads.  Past ``_LEAF`` panels the pass runs to the end of the FFT chunk
     that holds the last panel, so every kernel is whole without zero
     padding and a node's value does not depend on how far the run goes.
+    Shorter runs build no kernel and do not load ``numpy.fft``.
     """
     half = _FFT_SIZE // 2
-    reach = (panels // half + 1) * half if panels >= _LEAF else panels + 1
+    reach = panels + 1
+    if panels >= _LEAF:
+        from numpy import fft
+
+        reach = (panels // half + 1) * half
     tail = np.empty(panels)
     kernels = {}
     carry = 0.0
@@ -346,12 +340,12 @@ def _caputo_coefficients(a, panels):
             rect_rev = rect[span - 1::-1].copy()
             trap_rev = trap[span:0:-1].copy()
             if panels >= _LEAF:
-                kernels[half, 0] = _kernel_pair(
-                    np.concatenate(([0.0], rect[:-1])), trap)
+                kernels[half, 0] = (
+                    fft.rfft(np.concatenate(([0.0], rect[:-1]))), fft.rfft(trap))
         else:
-            kernels[_FFT_SIZE, lo // half - 1] = _kernel_pair(
-                np.concatenate(([carry], rect_before, rect[:-1])),
-                np.concatenate((trap_before, trap)))
+            kernels[_FFT_SIZE, lo // half - 1] = (
+                fft.rfft(np.concatenate(([carry], rect_before, rect[:-1]))),
+                fft.rfft(np.concatenate((trap_before, trap))))
             carry = rect_before[-1]
         rect_before, trap_before = rect, trap
     return tail, rect_rev, trap_rev, kernels

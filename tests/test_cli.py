@@ -525,75 +525,6 @@ def test_blow_up_exit_code(tmp_path, capsys):
     assert "blew up at step" in capsys.readouterr().err
 
 
-# ---------------------------------------------------------------- spec files
-
-
-def test_spec_file_merge_and_override(tmp_path, capsys):
-    spec = tmp_path / "run.spec"
-    spec.write_text(
-        "# baseline configuration\n"
-        "problem = example1\n"
-        "method = conformable\n"
-        "alpha = 0.5\n"
-        "h = 0.01\n"
-        "tau = 2\n"
-        "marker-stride = 200\n"
-    )
-    out = tmp_path / "merged.csv"
-    code = run_cli(
-        "solve", "--spec", str(spec), "--h", "0.001", "--output", str(out)
-    )
-    assert code == 0
-    # the flag overrides the file: h = 0.001 over tau = 2 gives 2001 rows
-    assert len(out.read_text().splitlines()) == 2002
-    capsys.readouterr()
-
-
-def test_spec_file_errors(tmp_path, capsys):
-    out = str(tmp_path / "x.csv")
-    bad_key = tmp_path / "bad_key.spec"
-    bad_key.write_text("problem = example1\nwibble = 3\n")
-    assert run_cli("solve", "--spec", str(bad_key), "--output", out) == 2
-
-    malformed = tmp_path / "malformed.spec"
-    malformed.write_text("problem example1\n")
-    assert run_cli("solve", "--spec", str(malformed), "--output", out) == 2
-
-    assert run_cli(
-        "solve", "--spec", str(tmp_path / "missing.spec"), "--output", out
-    ) == 2
-    err = capsys.readouterr().err
-    assert "missing.spec" in err
-
-
-@pytest.mark.parametrize("command,spec,flags", [
-    ("convergence",
-     {"problem": "example1", "method": "conformable", "alpha": "0.5",
-      "tau": "2", "h0": "0.04", "levels": "3"},
-     {"levels": "5", "method": "classical", "alpha": "1"}),
-    ("compare",
-     {"problem": "example1", "alpha": "0.5", "tau": "1", "h": "0.01",
-      "methods": "conformable, caputo"},
-     {"methods": "classical,conformable", "alpha": "1"}),
-])
-def test_spec_file_merge_and_override_equal_flags(command, spec, flags, tmp_path):
-    manifest = tmp_path / "run.spec"
-    manifest.write_text("".join(f"{key} = {value}\n" for key, value in spec.items()))
-    outputs = []
-    for argv in (["--spec", str(manifest)],
-                 ["--spec", str(manifest)]
-                 + [arg for key, value in flags.items() for arg in (f"--{key}", value)],
-                 [arg for key, value in {**spec, **flags}.items()
-                  for arg in (f"--{key}", value)]):
-        out = tmp_path / f"{len(outputs)}.csv"
-        assert run_cli(command, *argv, "--output", str(out)) == 0
-        outputs.append(out.read_bytes())
-    spec_only, merged, all_flags = outputs
-    # the flags override the file, and the rest of the file still applies
-    assert merged != spec_only
-    assert merged == all_flags
-
-
 # ---------------------------------------------------------------- option table
 
 _SHARED_FLAGS = {
@@ -601,7 +532,6 @@ _SHARED_FLAGS = {
     "--alpha": "fractional order in (0, 1]",
     "--tau": "horizon (problem default when omitted)",
     "--output": "output file path",
-    "--spec": "key = value manifest; flags override it",
 }
 
 #: each subcommand's help and its flags with their help strings
@@ -640,33 +570,32 @@ def test_subcommand_flags_and_help_are_pinned():
                 if a.dest != "help"} == flags, command
 
 
-@pytest.mark.parametrize("argv,spec,message", [
-    (["solve", "--method", "conformable", "--alpha", "0.5"], "",
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--method", "conformable", "--alpha", "0.5"],
      "missing required option --h"),
-    (["solve", "--method", "conformable", "--alpha", "half", "--h", "0.01"], "",
-     "--alpha expects a number, got 'half'"),
-    (["solve", "--method", "conformable", "--h", "0.01"], "alpha = half\n",
+    (["solve", "--method", "conformable", "--alpha", "half", "--h", "0.01"],
      "--alpha expects a number, got 'half'"),
     (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
-      "--marker-stride", "1.5"], "", "--marker-stride expects an integer, got '1.5'"),
+      "--marker-stride", "1.5"], "--marker-stride expects an integer, got '1.5'"),
     (["convergence", "--method", "conformable", "--alpha", "0.5", "--h0", "0.04",
-      "--levels", "five"], "", "--levels expects an integer, got 'five'"),
-    (["compare", "--alpha", "0.5", "--h", "0.01"], "",
+      "--levels", "five"], "--levels expects an integer, got 'five'"),
+    (["compare", "--alpha", "0.5", "--h", "0.01"],
      "missing required option --methods"),
     (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
-      "--format", "pdf"], "", "format must be csv or svg, got 'pdf'"),
+      "--format", "pdf"], "format must be csv or svg, got 'pdf'"),
     (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
-      "--format", "svg", "--marker-stride", "0"], "",
+      "--format", ""], "format must be csv or svg, got ''"),
+    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
+      "--format", "svg", "--marker-stride", "0"],
      "marker stride must be >= 1, got 0"),
-    (["solve", "--method", "conformable", "--alpha", "5e-324", "--h", "0.1"], "",
+    (["solve", "--method", "conformable", "--alpha", "5e-324", "--h", "0.1"],
      "scale h**a / a overflows at order 5e-324, step 0.1"),
     (["convergence", "--method", "conformable", "--alpha", "1e-310", "--h0", "0.1",
-      "--levels", "3"], "", "scale h**a / a overflows at order 1e-310, step 0.025"),
+      "--levels", "3"], "scale h**a / a overflows at order 1e-310, step 0.025"),
 ])
-def test_option_error_messages(argv, spec, message, tmp_path, capsys):
-    manifest = tmp_path / "run.spec"
-    manifest.write_text("problem = example1\ntau = 1\n" + spec)
+def test_option_error_messages(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert run_cli(*argv, "--spec", str(manifest), "--output", str(out)) == 2
+    assert run_cli(*argv, "--problem", "example1", "--tau", "1",
+                   "--output", str(out)) == 2
     assert capsys.readouterr().err == f"confrac: {message}\n"
     assert not out.exists()

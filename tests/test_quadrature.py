@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import confrac as cf
-from confrac.errors import DomainError
+from confrac import quadrature
+from confrac.core import MAX_NODES
+from confrac.errors import DomainError, GridError
 from confrac.quadrature import _coefficient_block, coefficient_tables, product_scales
 
 mp.mp.dps = 50
@@ -181,6 +183,26 @@ def test_coefficient_tables_memory_is_their_outputs():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * (n + 1) + 2**20, peak
+
+
+class _Allocated(Exception):
+    """Raised by the patched allocators: the call got past its size check."""
+
+
+@pytest.mark.parametrize("table", [coefficient_tables, cf.rectangle_weights,
+                                   cf.trapezoid_weights, cf.caputo_weights])
+def test_coefficient_tables_refuse_more_indices_than_grid_nodes(table, monkeypatch):
+    # 24 bytes per index: a real n of 10**9 would ask for 24 GB, so both
+    # allocators fail if reached and no table is ever built
+    def allocate(*args, **kwargs):
+        raise _Allocated
+
+    monkeypatch.setattr(np, "empty", allocate)
+    monkeypatch.setattr(quadrature, "_coefficient_block", allocate)
+    with pytest.raises(GridError, match=f"below {MAX_NODES}, got {MAX_NODES}"):
+        table(MAX_NODES, 0.5)
+    with pytest.raises(_Allocated):
+        table(MAX_NODES - 1, 0.5)
 
 
 @pytest.mark.parametrize("a", (0.1, 0.5, 0.9))

@@ -108,3 +108,23 @@ def test_running_sums_hold_their_order_at_a_million_nodes_without_closed_form():
         errors.append(abs(trace.endpoint - reference))
     assert trace.grid.node_count == 1_000_001
     assert 9.8 <= errors[0] / errors[1] <= 10.2
+
+
+#: order per decade from 20,001 to 200,001 nodes at a = 0.7, as measured
+#: (errors 1.64e-8 and 6.64e-10 for riccati, 1.67e-7 and 6.32e-9 for cubic)
+_DECADE_ORDER = {"riccati": 1.392, "cubic": 1.423}
+
+
+@pytest.mark.parametrize("name", sorted(_DECADE_ORDER))
+def test_order_per_decade_is_twice_the_fractional_order(name):
+    # f(0, y0) != 0 puts a t**a term in the slope, which the trapezoid
+    # corrector leaves O(h**(2a)): the order is min(2, 2a) = 1.4, not 2
+    rhs, y0 = _NO_CLOSED_FORM[name]
+    reference = _oracle(rhs, y0, 0.7)
+    errors = []
+    for h in (1e-4, 1e-5):
+        trace = cf.solve_conformable_pc(_ivp(rhs, y0, 0.7), h)
+        errors.append(abs(trace.endpoint - reference))
+    assert trace.grid.node_count == 200_001
+    assert math.log10(errors[0] / errors[1]) == pytest.approx(
+        _DECADE_ORDER[name], abs=0.01)
