@@ -1,6 +1,6 @@
 """Predictor-corrector solvers for conformable fractional initial value problems.
 
-The conformable derivative of order ``a`` in (0, 1] generalises the first
+The conformable derivative of order ``a`` in [1e-9, 1] generalises the first
 derivative through the limit of ``(g(t + eps*t**(1-a)) - g(t)) / eps``;
 this package provides product-quadrature predictor-corrector solvers for
 initial value problems posed with that derivative, plus classical and

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import as_alpha
+from .core import MIN_ORDER, as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
     METHODS,
@@ -37,7 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BLOWUP = 3
 
-DEFAULT_MARKER_STRIDE = 90
+#: node stride between the exact-solution markers of an SVG
+_MARKER_STRIDE = 90
 
 #: polyline points are computed and written this many at a time, so no
 #: string or list as long as the grid is ever held
@@ -116,19 +117,18 @@ def write_svg(
     values: np.ndarray,
     markers: np.ndarray,
     path: str,
-    marker_stride: int,
 ) -> None:
     """Render a solution column as a static 800x600 SVG.
 
     ``values`` at the nodes ``times`` is drawn as a polyline; ``markers``,
-    the exact solution at ``times[::marker_stride]`` (``marker_stride >=
-    1``), appears as hollow circles, matching the sparse-marker figure
-    style.  Markers and axes are computed first; the polyline's pixels are
-    then computed and written ``_CHUNK`` points at a time, so no string or
-    list as long as the grid is built.
+    the exact solution at ``times[::_MARKER_STRIDE]``, appears as hollow
+    circles, matching the sparse-marker figure style.  Markers and axes are
+    computed first; the polyline's pixels are then computed and written
+    ``_CHUNK`` points at a time, so no string or list as long as the grid
+    is built.
     """
     marker_ys = markers.tolist()
-    marker_points = list(zip(times[::marker_stride].tolist(), marker_ys))
+    marker_points = list(zip(times[::_MARKER_STRIDE].tolist(), marker_ys))
     x_lo, x_hi = float(times[0]), float(times[-1])
     y_lo = min([float(values.min())] + marker_ys)
     y_hi = max([float(values.max())] + marker_ys)
@@ -256,13 +256,10 @@ def cmd_solve(
     tau: float | None,
     output: str,
     format: str = "csv",
-    marker_stride: int = DEFAULT_MARKER_STRIDE,
 ) -> int:
     """Run one solve and write its nodes, values and closed form as CSV or SVG."""
     if format not in ("csv", "svg"):
         raise ValueError(f"format must be csv or svg, got {format!r}")
-    if marker_stride < 1:
-        raise ValueError(f"marker stride must be >= 1, got {marker_stride}")
     named = get_problem(problem)
     alpha = as_alpha(alpha)
     # both formats read only times and values: the rest of the trace, its
@@ -272,8 +269,8 @@ def cmd_solve(
     del trace
     times = grid.nodes()
     if format == "svg":
-        markers = _exact_column(named.exact, alpha, times[::marker_stride])
-        write_svg(times, values, markers, output, marker_stride)
+        markers = _exact_column(named.exact, alpha, times[::_MARKER_STRIDE])
+        write_svg(times, values, markers, output)
         return EXIT_OK
     columns = times, values, _exact_column(named.exact, alpha, times)
     rows = ((t, y, ref, abs(y - ref)) for t, y, ref in zip(*map(_floats, columns)))
@@ -340,7 +337,7 @@ _EXPECTS = {float: "a number", int: "an integer"}
 # (converter, default, help) of the options several subcommands take
 _PROBLEM = (str, _REQUIRED, "built-in problem id")
 _METHOD = (str, _REQUIRED, " | ".join(METHODS))
-_ALPHA = (float, _REQUIRED, "fractional order in (0, 1]")
+_ALPHA = (float, _REQUIRED, f"fractional order in [{MIN_ORDER!r}, 1]")
 _TAU = (float, None, "horizon (problem default when omitted)")
 _STEP = (float, _REQUIRED, "step size")
 _OUTPUT = (str, _REQUIRED, "output file path")
@@ -358,8 +355,6 @@ _OPTIONS = {
         "tau": _TAU,
         "output": _OUTPUT,
         "format": (str, "csv", "csv (default) or svg"),
-        "marker_stride": (int, DEFAULT_MARKER_STRIDE,
-                          "node stride between exact-solution markers (svg)"),
     }),
     "convergence": ("step-halving error sweep to CSV", {
         "problem": _PROBLEM,

@@ -8,11 +8,15 @@ class ConfracError(Exception):
 
 
 class AlphaRangeError(ConfracError, ValueError):
-    """Fractional order outside the admissible interval (0, 1]."""
+    """Fractional order outside the admissible interval [1e-9, 1]."""
 
     def __init__(self, value: object):
+        from .core import MIN_ORDER
+
         self.value = value
-        super().__init__(f"fractional order must lie in (0, 1], got {value!r}")
+        super().__init__(
+            f"fractional order must lie in [{MIN_ORDER!r}, 1], got {value!r}"
+        )
 
 
 class GridError(ConfracError, ValueError):

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, UniformGrid, as_alpha
+from .core import GRID_RTOL, Alpha, AlphaLike, UniformGrid, as_alpha
 from .errors import DomainError, OrderUndefinedError
 from .solvers import (
     InitialValueProblem,
@@ -128,15 +128,20 @@ class NamedProblem:
         return float(f"{digits[0]}e{exponent}")
 
     def _checked_horizon(self, alpha: Alpha, horizon: float | None) -> float:
+        """The horizon, refused unless it lies below the domain limit by more
+        than ``GRID_RTOL * horizon``, the most by which ``make_grid`` lets the
+        last node pass the horizon; so every grid ends below the limit (both
+        subtractions are exact by Sterbenz's lemma)."""
         if horizon is None:
             horizon = self.default_horizon(alpha)
         horizon = float(horizon)
         if self.domain_limit is not None:
             limit = self.domain_limit(alpha)
-            if horizon >= limit:
+            if limit - horizon <= GRID_RTOL * horizon:
                 raise DomainError(
-                    f"horizon {horizon!r} reaches the domain limit "
-                    f"{limit:.6g} of problem {self.id!r}"
+                    f"horizon {horizon!r} is not below the domain limit "
+                    f"{limit!r} of problem {self.id!r} by more than the "
+                    f"grid's relative slack {GRID_RTOL:g}"
                 )
         return horizon
 
@@ -226,8 +231,8 @@ def solve_named(
     """Dispatch one solver run on a registry problem.
 
     The run's grid is checked by :func:`method_grid` first, so a method,
-    order, horizon, last node or node count it rejects fails before any
-    table is built or step taken.
+    order, horizon or node count it rejects fails before any table is
+    built or step taken.
     """
     alpha = as_alpha(alpha)
     method_grid(named, method, alpha, horizon, h)
@@ -247,28 +252,18 @@ def method_grid(
 ) -> UniformGrid:
     """The grid ``solve_named`` would step ``method`` over, built without solving.
 
-    Rejects an unknown method, then a horizon at or past the problem's
-    domain limit, then the grid and order checks of the method's solver
-    (:func:`~confrac.solvers.solver_grid`), then a last grid
-    node at or past the domain limit (``make_grid`` lets the last node
-    ``panel_count * h`` exceed the horizon by a rounding slack), so
-    callers can check all of their runs before the first one starts.
+    Rejects an unknown method, then a horizon that does not sit below the
+    problem's domain limit by more than the grid's slack, then the grid
+    and order checks of the method's solver
+    (:func:`~confrac.solvers.solver_grid`), so callers can check all of
+    their runs before the first one starts.
     """
     if method not in METHODS:
         raise ValueError(
             f"unknown method {method!r}; choose from {', '.join(METHODS)}"
         )
     alpha = as_alpha(alpha)
-    grid = solver_grid(method, alpha, named._checked_horizon(alpha, horizon), h)
-    if named.domain_limit is not None:
-        last = grid.node(grid.panel_count)
-        limit = named.domain_limit(alpha)
-        if last >= limit:
-            raise DomainError(
-                f"last grid node t = {last!r} reaches the domain limit "
-                f"{limit:.6g} of problem {named.id!r}"
-            )
-    return grid
+    return solver_grid(method, alpha, named._checked_horizon(alpha, horizon), h)
 
 
 def _floats(column: np.ndarray):

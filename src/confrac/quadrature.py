@@ -210,14 +210,11 @@ def product_scales(a: float, h: float) -> tuple[float, float]:
     """Rectangle scale ``h**a / a`` and trapezoid scale ``h**a / (a * (a + 1))``.
 
     The trapezoid scale is computed as the rectangle scale over ``a + 1``;
-    the solvers' outputs are pinned bit for bit to that rounding.  An order
-    so small that ``h**a / a`` overflows raises :class:`DomainError`.
+    the solvers' outputs are pinned bit for bit to that rounding.
     """
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h!r}")
     rect = h**a / a
-    if not math.isfinite(rect):
-        raise DomainError(f"scale h**a / a overflows at order {a!r}, step {h!r}")
     return rect, rect / (a + 1.0)
 
 

@@ -13,7 +13,7 @@ blow-up and returns the trace:
   coefficients depend only on their own index, the whole history enters
   through two running accumulators and one step costs O(1).
 * :func:`solve_caputo_pc` -- the Adams-Bashforth-Moulton scheme for the
-  Caputo derivative of order in (0, 1].  Its weights depend on the
+  Caputo derivative of order in [1e-9, 1].  Its weights depend on the
   distance to the current node, so the history sums are convolutions,
   summed by divide and conquer with FFTs.  Those FFTs are cut into chunk
   pairs of ``_FFT_SIZE`` points, so past that many nodes the far field
@@ -72,7 +72,7 @@ class InitialValueProblem:
     ``order`` is the order of the conformable derivative ``T_a``; with
     ``order == 1`` this is a plain first-order ODE.  :func:`solve_caputo_pc`
     reads the same problem with the Caputo derivative ``D_a`` in place of
-    ``T_a``; an order in (0, 1] lets the single initial value fix the
+    ``T_a``; an order in [1e-9, 1] lets the single initial value fix the
     solution's Taylor head there too.
     """
 
@@ -155,8 +155,7 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
     on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``,
     at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve of
     n nodes takes about 80 bytes per node, and past ``_FFT_SIZE`` nodes its
-    time grows like n**2 / ``_FFT_SIZE``) and, for
-    ``"conformable"``, scales that :func:`product_scales` can form.
+    time grows like n**2 / ``_FFT_SIZE``).
     """
     grid = make_grid(horizon, h)
     if method == "classical" and order.value != 1.0:
@@ -166,8 +165,6 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
             f"step {h!r} gives {grid.node_count} nodes on [0, {horizon!r}]; "
             f"the Caputo solver takes at most {CAPUTO_MAX_NODES}"
         )
-    if method == "conformable":
-        product_scales(order.value, grid.step)
     return grid
 
 
@@ -389,7 +386,7 @@ def _spread(kernels, slopes, far_p, far_c, end, width):
 
 
 def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
-    """Adams-Bashforth-Moulton run for a Caputo problem of order in (0, 1].
+    """Adams-Bashforth-Moulton run for a Caputo problem of order in [1e-9, 1].
 
     Fractional rectangle predictor, fractional trapezoid corrector; the
     weights are those :func:`caputo_weights` returns, generated once in

@@ -14,6 +14,12 @@ from confrac import cli, problems
 from confrac.core import UniformGrid
 
 
+#: the refusals of an order below core.MIN_ORDER and of a horizon within
+#: the grid's slack of example2's asymptote
+FLOOR_MESSAGE = "fractional order must lie in [1e-09, 1]"
+HORIZON_MESSAGE = "is not below the domain limit 0.6168502750680849"
+
+
 def run_cli(*argv):
     return cli.main(list(argv))
 
@@ -144,20 +150,9 @@ def test_svg_tick_labels_on_a_tiny_range(tmp_path):
     assert labels == ["0.999999", "0.9999995", "1"]
 
 
-def test_solve_svg_marker_stride(tmp_path):
-    out = tmp_path / "fig.svg"
-    run_cli(
-        "solve", "--problem", "example1", "--method", "conformable",
-        "--alpha", "0.5", "--h", "0.001", "--tau", "2",
-        "--output", str(out), "--format", "svg", "--marker-stride", "200",
-    )
-    assert out.read_text().count("<circle") == 12  # 11 markers + legend
-
-
 @pytest.mark.parametrize("argv,exact_calls", [
     (["solve", "--method", "conformable"], 101),
-    (["solve", "--method", "conformable", "--format", "svg",
-      "--marker-stride", "7"], 15),
+    (["solve", "--method", "conformable", "--format", "svg"], 2),
     (["compare", "--methods", "conformable,caputo"], 101),
 ], ids=["solve-csv", "solve-svg", "compare"])
 def test_csv_lets_the_trace_go_before_the_closed_form(
@@ -444,24 +439,23 @@ def test_compare_checks_every_method_before_solving(tmp_path, monkeypatch, capsy
     assert "unknown method 'bogus'" in capsys.readouterr().err
     assert run_cli(*base, "--h", "0.01", "--methods", "conformable,classical") == 2
     assert "classical scheme requires order 1, got 0.5" in capsys.readouterr().err
-    # the conformable scale h**a / a overflows; the Caputo run comes first
+    # an order below the floor is refused before the first method's run
     assert run_cli("compare", "--problem", "example3", "--alpha", "1e-310",
                    "--tau", "2", "--h", "0.001", "--methods", "caputo,conformable",
                    "--output", out) == 2
-    assert ("scale h**a / a overflows at order 1e-310, step 0.001"
-            in capsys.readouterr().err)
+    assert f"{FLOOR_MESSAGE}, got 1e-310" in capsys.readouterr().err
 
 
 def test_closed_form_failure_leaves_no_partial_csv(tmp_path, capsys):
     # the horizon sits below example2's asymptote, but the grid's last node
-    # rounds onto it, where the closed form would raise at the final row
+    # would round onto it, where the closed form would raise at the final row
     out = tmp_path / "edge.csv"
     assert run_cli(
         "solve", "--problem", "example2", "--method", "conformable",
         "--alpha", "0.5", "--tau", "0.6168502750680848",
         "--h", "0.0006168502750680849", "--output", str(out),
     ) == 2
-    assert "last grid node" in capsys.readouterr().err
+    assert HORIZON_MESSAGE in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -495,13 +489,30 @@ def test_last_node_on_asymptote_is_refused_before_solving(
         out = tmp_path / f"edge.{fmt}"
         assert run_cli("solve", *edge, "--h", h, "--format", fmt,
                        "--output", str(out)) == 2
-        assert "last grid node" in capsys.readouterr().err
+        assert HORIZON_MESSAGE in capsys.readouterr().err
         assert not out.exists()
     # the ladder's finest level, h0 / 2, ends on the same node
     out = tmp_path / "edge-ladder.csv"
     assert run_cli("convergence", *edge, "--h0", h, "--levels", "2",
                    "--output", str(out)) == 2
-    assert "last grid node" in capsys.readouterr().err
+    assert HORIZON_MESSAGE in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_order_below_the_floor_is_refused_before_solving(
+    tmp_path, monkeypatch, capsys
+):
+    # the rectangle coefficients lose all their digits here: the solve
+    # wrote y_num = 1 at every node, where the closed form reaches 7.389
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved at an order below the floor")
+
+    monkeypatch.setattr(problems, "solve_conformable_pc", no_solve)
+    out = tmp_path / "tiny.csv"
+    assert run_cli("solve", "--problem", "example1", "--method", "conformable",
+                   "--alpha", "1e-300", "--h", "0.1", "--tau", "2",
+                   "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"confrac: {FLOOR_MESSAGE}, got 1e-300\n"
     assert not out.exists()
 
 
@@ -529,7 +540,7 @@ def test_blow_up_exit_code(tmp_path, capsys):
 
 _SHARED_FLAGS = {
     "--problem": "built-in problem id",
-    "--alpha": "fractional order in (0, 1]",
+    "--alpha": "fractional order in [1e-09, 1]",
     "--tau": "horizon (problem default when omitted)",
     "--output": "output file path",
 }
@@ -542,7 +553,6 @@ _SUBCOMMANDS = {
         "--method": "classical | conformable | caputo",
         "--h": "step size",
         "--format": "csv (default) or svg",
-        "--marker-stride": "node stride between exact-solution markers (svg)",
     }),
     "convergence": ("step-halving error sweep to CSV", {
         **_SHARED_FLAGS,
@@ -575,8 +585,8 @@ def test_subcommand_flags_and_help_are_pinned():
      "missing required option --h"),
     (["solve", "--method", "conformable", "--alpha", "half", "--h", "0.01"],
      "--alpha expects a number, got 'half'"),
-    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
-      "--marker-stride", "1.5"], "--marker-stride expects an integer, got '1.5'"),
+    (["solve", "--method", "conformable", "--alpha", "5e-324", "--h", "0.1"],
+     f"{FLOOR_MESSAGE}, got 5e-324"),
     (["convergence", "--method", "conformable", "--alpha", "0.5", "--h0", "0.04",
       "--levels", "five"], "--levels expects an integer, got 'five'"),
     (["compare", "--alpha", "0.5", "--h", "0.01"],
@@ -585,13 +595,8 @@ def test_subcommand_flags_and_help_are_pinned():
       "--format", "pdf"], "format must be csv or svg, got 'pdf'"),
     (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
       "--format", ""], "format must be csv or svg, got ''"),
-    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "0.01",
-      "--format", "svg", "--marker-stride", "0"],
-     "marker stride must be >= 1, got 0"),
-    (["solve", "--method", "conformable", "--alpha", "5e-324", "--h", "0.1"],
-     "scale h**a / a overflows at order 5e-324, step 0.1"),
     (["convergence", "--method", "conformable", "--alpha", "1e-310", "--h0", "0.1",
-      "--levels", "3"], "scale h**a / a overflows at order 1e-310, step 0.025"),
+      "--levels", "3"], f"{FLOOR_MESSAGE}, got 1e-310"),
 ])
 def test_option_error_messages(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"

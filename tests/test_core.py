@@ -3,17 +3,18 @@ import math
 import pytest
 
 import confrac as cf
-from confrac.core import as_alpha
+from confrac.core import MIN_ORDER, as_alpha
 from confrac.errors import AlphaRangeError, DomainError, GridError
 
 
-@pytest.mark.parametrize("value", [1e-9, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("value", [MIN_ORDER, 0.3, 0.5, 1.0])
 def test_make_alpha_accepts_valid_orders(value):
     assert cf.Alpha(value).value == value
 
 
 @pytest.mark.parametrize(
-    "bad", [0.0, -0.2, 1.0000001, 2.0, float("nan"), float("inf"), -math.inf]
+    "bad", [0.0, -0.2, 1.0000001, 2.0, float("nan"), float("inf"), -math.inf,
+            math.nextafter(MIN_ORDER, 0.0)]
 )
 def test_make_alpha_rejects_out_of_range(bad):
     with pytest.raises(AlphaRangeError):

@@ -1,4 +1,5 @@
 import math
+import random
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import confrac as cf
 from confrac import problems
+from confrac.core import GRID_RTOL, MIN_ORDER, make_grid
 from confrac.errors import DomainError, GridError, OrderUndefinedError
 from confrac.problems import halving_orders
 
@@ -69,6 +71,34 @@ def test_example2_rejects_horizon_beyond_pole():
     assert trace.grid.horizon == 0.5
 
 
+def test_accepted_grids_end_below_the_asymptote():
+    # make_grid lets the last node pass the horizon by up to GRID_RTOL times
+    # the horizon, and _checked_horizon refuses horizons within that of the
+    # limit; offsets are drawn on both sides of both bounds
+    named = cf.get_problem("example2")
+    rng = random.Random(2024)
+    cases = [(0.5, 0.6168502750680848, 0.0006168502750680849)]
+    for _ in range(20000):
+        a = rng.uniform(0.1, 1.0)
+        limit = named.domain_limit(a)
+        if rng.random() < 0.125:
+            tau = math.nextafter(limit, 0.0)
+        else:
+            tau = limit / (1.0 + GRID_RTOL * rng.uniform(0.9, 1.1))
+        panels = rng.randint(1, 10**4)
+        cases.append((a, tau, tau * (1.0 + GRID_RTOL * rng.uniform(0.9, 1.1)) / panels))
+    accepted = 0
+    for a, tau, h in cases:
+        try:
+            grid = make_grid(tau, h)
+            named._checked_horizon(cf.Alpha(a), tau)
+        except (GridError, DomainError):
+            continue
+        accepted += 1
+        assert grid.node(grid.panel_count) < named.domain_limit(a), (a, tau, h)
+    assert accepted > len(cases) // 8
+
+
 def test_default_horizons():
     unlimited = cf.get_problem("example1")
     assert unlimited.default_horizon(0.5) == 2.0
@@ -109,6 +139,18 @@ def test_method_grid_refuses_as_the_solver_does(method, solve, h, error):
         solve(cf.InitialValueProblem(no_rhs, 1.0, 1.0, cf.Alpha(0.5)), h)
     assert type(solved.value) is type(checked.value)
     assert str(solved.value) == str(checked.value)
+
+
+def test_smallest_order_is_as_accurate_as_order_one_half():
+    # the floor's evidence: at 1e-10 the error is 1.08e-4, 19 times that
+    # at a = 0.5, since the rectangle coefficients lose j * eps / a
+    named = cf.get_problem("example1")
+
+    def max_error(a):
+        trace = cf.solve_conformable_pc(named.problem(a, 2.0), 1e-3)
+        return cf.error_report(trace, named.exact, a).max_abs_error
+
+    assert max_error(MIN_ORDER) <= 2.0 * max_error(0.5)
 
 
 def test_error_report_basics():

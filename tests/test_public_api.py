@@ -1,8 +1,10 @@
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import confrac as cf
+from confrac import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -112,3 +114,14 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("confrac ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
