@@ -28,9 +28,9 @@ GRID_RTOL = 1e-9
 #: node, and the Caputo solver takes at most solvers.CAPUTO_MAX_NODES
 MAX_NODES = 10**7
 
-#: smallest order Alpha accepts: the rectangle coefficients lose about
-#: ``j * eps / a`` of their digits, and below this the solves' errors
-#: pass twice those at a = 0.5 (measured on example1 at h = 1e-3)
+#: smallest order Alpha accepts: below it the solves' errors pass twice
+#: those at a = 0.5 (measured on example1 at h = 1e-3: 4.23e-6 at 1e-9,
+#: 3.37e-5 at 3e-10, against 5.68e-6 at a = 0.5)
 MIN_ORDER = 1e-9
 
 

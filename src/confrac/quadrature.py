@@ -54,15 +54,17 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _binomial_series(beta: float, power, factor, ratios):
-    """Sum of ``b_k * power * factor**k`` with ``b_0 = C(beta, 2)`` and ratios
+def _binomial_series(a: float, power, factor, ratios):
+    """Sum of ``b_k * power * factor**k`` with ``b_0 = C(a + 1, 2)`` and ratios
     ``b_(k+1) / b_k`` taken from ``ratios``.
 
-    ``power`` and ``factor`` are floats or arrays.  Terms are positive and
+    ``b_0`` is formed from ``a`` itself: ``beta - 1`` with ``beta = a + 1``
+    already rounded would keep only about ``eps / a`` of ``a``.  ``power``
+    and ``factor`` are floats or arrays.  Terms are positive and
     shrinking, so the loop stops once a term changes no element, and each
     element gets exactly the sum a loop over that element alone would.
     """
-    binom = beta * (beta - 1.0) / 2.0  # C(beta, 2)
+    binom = a * (a + 1.0) / 2.0  # C(a + 1, 2)
     total = binom * power
     for ratio in ratios:
         binom *= ratio
@@ -75,23 +77,27 @@ def _binomial_series(beta: float, power, factor, ratios):
     return total
 
 
-def _interior_series(u, beta: float):
-    """``((1-u)**beta + (1+u)**beta - 2) / 2`` as ``sum_{k>=1} C(beta, 2k) u**(2k)``.
+def _interior_series(u, a: float):
+    """``((1-u)**beta + (1+u)**beta - 2) / 2`` as ``sum_{k>=1} C(beta, 2k) u**(2k)``,
+    with ``beta = a + 1``.
 
     Odd powers cancel; every term is positive for beta in (1, 2).
     """
+    beta = a + 1.0
     ratios = ((beta - 2 * k) * (beta - 2 * k - 1.0) / ((2 * k + 1.0) * (2 * k + 2.0))
               for k in range(1, _SERIES_MAX_TERMS))
-    return _binomial_series(beta, u * u, u * u, ratios)
+    return _binomial_series(a, u * u, u * u, ratios)
 
 
-def _tail_series(u, beta: float):
-    """``(1 - u)**beta - 1 + beta*u`` as ``sum_{k>=2} C(beta, k) (-u)**k``.
+def _tail_series(u, a: float):
+    """``(1 - u)**beta - 1 + beta*u`` as ``sum_{k>=2} C(beta, k) (-u)**k``,
+    with ``beta = a + 1``.
 
     The binomials' signs alternate against ``(-u)**k`` for beta in (1, 2).
     """
+    beta = a + 1.0
     ratios = ((beta - k) / (k + 1.0) for k in range(2, _SERIES_MAX_TERMS))
-    return _binomial_series(beta, u * u, -u, ratios)
+    return _binomial_series(a, u * u, -u, ratios)
 
 
 def rectangle_coefficient(j: int, alpha: AlphaLike) -> float:
@@ -119,13 +125,14 @@ def trapezoid_coefficient(j: int, alpha: AlphaLike) -> float:
     """
     if j < 0:
         raise ValueError(f"coefficient index must be non-negative, got {j}")
-    beta = as_alpha(alpha).value + 1.0
+    a = as_alpha(alpha).value
+    beta = a + 1.0
     if j < _SERIES_CUTOFF or beta == 2.0:
         # exact in integer arithmetic when beta == 2; safe below the
         # cutoff where at most ~j**2 ulps cancel
         return (max(j - 1.0, 0.0) ** beta - 2.0 * float(j) ** beta
                 + (j + 1.0) ** beta)
-    return 2.0 * float(j) ** beta * _interior_series(1.0 / j, beta)
+    return 2.0 * float(j) ** beta * _interior_series(1.0 / j, a)
 
 
 def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
@@ -143,7 +150,7 @@ def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
     if n + 1 < _SERIES_CUTOFF or a == 1.0:
         # exact in integer arithmetic when a == 1 (beta == 2), any n
         return beta * m**a + float(n) ** beta - m**beta
-    return m**beta * _tail_series(1.0 / m, beta)
+    return m**beta * _tail_series(1.0 / m, a)
 
 
 def _coefficient_block(
@@ -173,11 +180,11 @@ def _coefficient_block(
     if beta != 2.0 and start < hi:
         j = np.arange(start, hi, dtype=float)
         trap[start - lo:] = (2.0 * q[start - lo + 1:-1]
-                             * _interior_series(1.0 / j, beta))
+                             * _interior_series(1.0 / j, a))
     start = max(lo, cut - 1)
     if a != 1.0 and start < hi:
         m = np.arange(start + 1, hi + 1, dtype=float)
-        tail[start - lo:] = q[start - lo + 2:] * _tail_series(1.0 / m, beta)
+        tail[start - lo:] = q[start - lo + 2:] * _tail_series(1.0 / m, a)
     return rect, trap, tail
 
 

@@ -50,9 +50,9 @@ RightHandSide = Callable[[float, float], float]
 BLOWUP_LIMIT = 1e12
 
 #: largest grid the Caputo solver accepts (checked by :func:`solver_grid`,
-#: also for a direct call); one solve took about 0.06 s
-#: at 25,601 nodes, 0.35-0.45 s at 102,401 and 4.1-6.4 s (107 MB peak
-#: RSS) at 10**6 nodes on a shared 2-core x86 machine
+#: also for a direct call); one solve took 0.06-0.10 s at 25,601 nodes,
+#: 0.24-0.31 s at 102,401 and 3.8-4.6 s (99-100 MB peak RSS) at 10**6
+#: nodes on a shared 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
 
 #: steps per block of the conformable solver: each block builds its own
@@ -154,8 +154,9 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
     """The grid the ``method`` solver steps over, after the checks it makes
     on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``,
     at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve of
-    n nodes takes about 80 bytes per node, and past ``_FFT_SIZE`` nodes its
-    time grows like n**2 / ``_FFT_SIZE``).
+    n nodes keeps no whole-grid coefficient array and peaks at about 80
+    bytes per node, and past ``_FFT_SIZE`` nodes its time grows like
+    n**2 / ``_FFT_SIZE``).
     """
     grid = make_grid(horizon, h)
     if method == "classical" and order.value != 1.0:
@@ -294,24 +295,24 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
     return rect[::-1].copy(), np.concatenate(([tail[n]], trap[::-1]))
 
 
-def _caputo_coefficients(a, panels):
-    """Closing weights, near-field weights and FFT kernels of one Caputo solve.
+def _caputo_coefficients(a, panels, f0):
+    """Corrector far field, near-field weights and FFT kernels of a Caputo solve.
 
     One ascending pass over :func:`_coefficient_block` in blocks of
     ``_FFT_SIZE // 2`` entries generates every coefficient index once:
 
-    * each block's closing entries go into ``tail``, which holds indices
-      0 .. panels - 1 and is the only whole-grid coefficient array;
+    * each block's closing entries times ``f0``, the slope at node 0, seed
+      ``far_c``, the corrector's far-field sums (node n takes entry n - 1),
+      so no closing weight outlives its block;
     * the first block gives the near-field weights: ``rect_rev[span - k:]``
       holds ``rect[k - 1], ..., rect[0]`` and ``trap_rev[span - k:]`` holds
       ``trap[k], ..., trap[1]``, with ``span = min(_LEAF, panels)``;
-    * the first block also gives the kernel of the size-``_FFT_SIZE // 2``
-      FFT, and blocks ``k`` and ``k + 1`` the size-``_FFT_SIZE`` kernel for
-      chunk offset ``k``.  Position q of a size-``size`` kernel for offset
-      ``k`` holds distance ``d = k * size // 2 + q``: ``rect[d - 1]``
-      (predictor, 0 at d = 0) and ``trap[d]`` (corrector).  The predictor
-      kernel starts with the last rectangle entry of block ``k - 1``, the
-      one value carried from block to block.
+    * the first block also gives the kernels of the size-``_FFT_SIZE // 2``
+      FFT, and blocks ``k`` and ``k + 1`` the size-``_FFT_SIZE`` kernels for
+      chunk offset ``k``.  Both kernels of a pair read one index window:
+      position q of a size-``size`` kernel for offset ``k`` holds
+      ``rect[d]`` (predictor) and ``trap[d]`` (corrector), with
+      ``d = k * size // 2 + q``.
 
     ``kernels`` maps ``(size, k)`` to the transform pair :func:`_spread`
     reads.  Past ``_LEAF`` panels the pass runs to the end of the FFT chunk
@@ -325,27 +326,24 @@ def _caputo_coefficients(a, panels):
         from numpy import fft
 
         reach = (panels // half + 1) * half
-    tail = np.empty(panels)
+    far_c = np.zeros(panels + 1)
     kernels = {}
-    carry = 0.0
     for lo in range(0, reach, half):
         rect, trap, closing = _coefficient_block(lo, min(lo + half, reach), a)
         # the last block starts at or before the last panel
-        tail[lo:lo + half] = closing[:panels - lo]
+        far_c[lo + 1:lo + 1 + half] = closing[:panels - lo] * f0
         if lo == 0:
             span = min(_LEAF, panels)
             rect_rev = rect[span - 1::-1].copy()
             trap_rev = trap[span:0:-1].copy()
             if panels >= _LEAF:
-                kernels[half, 0] = (
-                    fft.rfft(np.concatenate(([0.0], rect[:-1]))), fft.rfft(trap))
+                kernels[half, 0] = fft.rfft(rect), fft.rfft(trap)
         else:
             kernels[_FFT_SIZE, lo // half - 1] = (
-                fft.rfft(np.concatenate(([carry], rect_before, rect[:-1]))),
+                fft.rfft(np.concatenate((rect_before, rect))),
                 fft.rfft(np.concatenate((trap_before, trap))))
-            carry = rect_before[-1]
         rect_before, trap_before = rect, trap
-    return tail, rect_rev, trap_rev, kernels
+    return far_c, rect_rev, trap_rev, kernels
 
 
 def _spread(kernels, slopes, far_p, far_c, end, width):
@@ -356,8 +354,9 @@ def _spread(kernels, slopes, far_p, far_c, end, width):
     source/target chunk pair is one circular convolution of twice the chunk
     length with a kernel transform from ``kernels``
     (:func:`_caputo_coefficients`), summed per target chunk in the
-    frequency domain.  Slope 0 is left out of the corrector sum: it enters
-    through the closing weight.
+    frequency domain.  A slope at distance d takes ``rect[d - 1]``, so the
+    predictor sums are read one point before the corrector sums.  Slope 0
+    is left out of the corrector sum: it enters through the closing weight.
     """
     from numpy import fft
 
@@ -381,7 +380,8 @@ def _spread(kernels, slopes, far_p, far_c, end, width):
             acc_c = acc_c + corrector_sources[i] * kernel_c
         start = end + target * chunk
         stop = min(start + chunk, nodes)
-        far_p[start:stop] += fft.irfft(acc_p, size)[chunk:chunk + stop - start]
+        far_p[start:stop] += fft.irfft(acc_p, size)[
+            chunk - 1:chunk - 1 + stop - start]
         far_c[start:stop] += fft.irfft(acc_c, size)[chunk:chunk + stop - start]
 
 
@@ -394,7 +394,8 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
     are split by divide and conquer (Hairer, Lubich & Schlichte 1985):
     nodes run in leaves of ``_LEAF`` steps, and each step adds one
     contiguous dot over its own leaf's earlier slopes (the near field) to
-    far-field sums read from two per-solve arrays.  After each leaf, the
+    far-field sums read from two per-solve arrays; the corrector's starts
+    from each node's closing-weight term.  After each leaf, the
     power-of-two block of slopes that ends there is added into the
     far-field sums of the equally long block that follows, by FFT
     convolution (:func:`_spread`).  Up to ``_FFT_SIZE`` nodes that makes a
@@ -413,7 +414,8 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
         a = problem.order.value
         rhs, y0, step_size = problem.rhs, problem.y0, grid.step
         panels = grid.panel_count
-        tail, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels)
+        f0 = float(rhs(0.0, y0))
+        far_c, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels, f0)
         span = rect_rev.shape[0]
         # step k of a leaf dots the last k near-field weights against the
         # leaf's first k slopes; every view it needs is built here, once
@@ -424,10 +426,8 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
         predictor_scale = h**a / gamma(a + 1.0)
         corrector_scale = h**a / gamma(a + 2.0)
         slopes = np.empty(panels)
-        f0 = float(rhs(0.0, y0))
         leaf[0] = f0
         far_p = np.zeros(grid.node_count)
-        far_c = np.zeros(grid.node_count)
         limit = BLOWUP_LIMIT
         for lo in range(0, grid.node_count, _LEAF):
             hi = min(lo + _LEAF, grid.node_count)
@@ -446,16 +446,14 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
             leaf_values, leaf_predictors = [], []
             steps = zip(
                 ks, (step_size * np.arange(first, hi)).tolist(),
-                # each corrector sum starts from the closing weight's term
-                (tail[first - 1:hi - 1] * f0).tolist(),
                 far_p[first:hi].tolist(), far_c[first:hi].tolist(), *views,
             )
             try:
-                for k, t_next, head, p_far, c_far, rect_w, near, trap_w, c_near in steps:
+                for k, t_next, p_far, c_far, rect_w, near, trap_w, c_near in steps:
                     predicted = y0 + predictor_scale * (p_far + float(rect_w.dot(near)))
                     if not -limit <= predicted <= limit:
                         raise BlowUpError(lo + k, predicted)
-                    head += c_far + float(trap_w.dot(c_near))
+                    head = c_far + float(trap_w.dot(c_near))
                     corrected = y0 + corrector_scale * (head + rhs(t_next, predicted))
                     if not -limit <= corrected <= limit:
                         raise BlowUpError(lo + k, corrected)

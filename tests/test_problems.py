@@ -142,8 +142,8 @@ def test_method_grid_refuses_as_the_solver_does(method, solve, h, error):
 
 
 def test_smallest_order_is_as_accurate_as_order_one_half():
-    # the floor's evidence: at 1e-10 the error is 1.08e-4, 19 times that
-    # at a = 0.5, since the rectangle coefficients lose j * eps / a
+    # the floor's evidence: at MIN_ORDER the error is 4.23e-6 against
+    # 5.68e-6 at a = 0.5; at 1e-10 it is 1.07e-4, 19 times that
     named = cf.get_problem("example1")
 
     def max_error(a):
@@ -151,6 +151,14 @@ def test_smallest_order_is_as_accurate_as_order_one_half():
         return cf.error_report(trace, named.exact, a).max_abs_error
 
     assert max_error(MIN_ORDER) <= 2.0 * max_error(0.5)
+
+
+def test_smallest_order_keeps_converging_on_a_finer_grid():
+    # measured 1.83e-7 at h = 1e-4 (4.23e-6 at 1e-3); when the series'
+    # first binomial was formed from the rounded a + 1 it was 1.40e-6
+    named = cf.get_problem("example1")
+    trace = cf.solve_conformable_pc(named.problem(MIN_ORDER, 2.0), 1e-4)
+    assert cf.error_report(trace, named.exact, MIN_ORDER).max_abs_error <= 4e-7
 
 
 def test_error_report_basics():

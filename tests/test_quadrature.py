@@ -145,6 +145,22 @@ def test_coefficients_match_extended_precision(a):
             assert rel < 1e-9, (a, j, ours)
 
 
+@pytest.mark.parametrize("a", (MIN_ORDER, 1e-6))
+def test_series_coefficients_match_extended_precision_at_tiny_orders(a):
+    # the series' first binomial C(a + 1, 2) is formed from a itself;
+    # formed from the rounded a + 1 it lost 8.3e-8 at a = 1e-9
+    for j in (128, 129, 1000, 100_000, 10**7 - 1):
+        _, trap, tail = _coefficient_block(j, j + 1, a)
+        for ours, reference in (
+            (cf.trapezoid_coefficient(j, a), _trap_mp(j, a)),
+            (cf.trapezoid_tail_coefficient(j, a), _tail_mp(j, a)),
+            (float(trap[0]), _trap_mp(j, a)),
+            (float(tail[0]), _tail_mp(j, a)),
+        ):
+            rel = abs((mp.mpf(ours) - reference) / reference)
+            assert rel <= 1e-14, (a, j, float(rel))
+
+
 @pytest.mark.parametrize("a", (0.05, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0))
 def test_coefficient_tables_match_scalar_functions(a):
     n = 100_001

@@ -233,8 +233,8 @@ def test_caputo_solver_matches_weight_vector_oracle(a):
 
 
 # largest relative gap between the FFT history sums and the oracle's
-# direct sums, over the grids and orders below: 1.35e-15 (a = 0.5,
-# 25,601 nodes); the bound leaves three times that
+# direct sums, over the grids and orders below: 1.81e-15 (a = 0.3,
+# 25,601 nodes); the bound leaves twice that
 _RECURSION_GAP = 4e-15
 
 
@@ -265,10 +265,12 @@ def test_caputo_node_values_do_not_depend_on_horizon():
 
 
 # sha256 of values.tobytes() and predictors.tobytes() of the solve below,
-# frozen from the solver that still built whole-grid coefficient tables
+# frozen from the solver whose predictor and corrector kernels read one
+# coefficient window and whose corrector far field starts from the closing
+# terms
 _CAPUTO_25601_SHA256 = (
-    "a6ed2e69ecd869745b237559875fecf26fa8a59abacbb5112fcf98ea843fdcc5",
-    "09bb0120ef543a4469ff34ff136f56e79aad6e9c14469e6b0d1d63fbfe821148",
+    "bb30cfc38a775d02ad23c6883854a6a6ccf9f3ba84478fcb3a67a404198d68de",
+    "6430f385d73985bf9635f612fb577fb013e785a4a42a8edc3a395195ba6ff1cb",
 )
 
 
@@ -297,10 +299,10 @@ def test_caputo_generates_each_coefficient_once_in_blocks(monkeypatch):
 
 
 # sha256 of values.tobytes() and predictors.tobytes() of the 3,073-node
-# solve below, frozen from the solver that still took a corrector pass count
+# solve below, frozen from the same solver as _CAPUTO_25601_SHA256
 _CAPUTO_3073_SHA256 = (
-    "9c9fe852bb00ebbe8af4067f0a440ae4a7dd4c022d5d0b34f555c7c3f34c2764",
-    "c6e5c26ed7397141be22d65a1566c6f95fc91116420dd78597e730f455386234",
+    "c25be55d288f53985d4e43351677091f0f4c1cdfd32818a96959f126953f909e",
+    "01f78b095eecdc68d3ae952124a1d6b4c351d995c7b6c177b3fba3711ad3ee04",
 )
 
 
@@ -327,11 +329,12 @@ def test_caputo_bits_and_right_hand_side_calls_are_frozen(nodes, rhs_calls, dige
 
 
 def test_caputo_solve_memory_is_bounded_per_node():
-    # measured peaks: 2.97 MB at 25,601 nodes and 9.95 MB at 102,401, that
-    # is about 91 bytes per node (values, predictors, slopes, far-field
-    # sums, closing weights, FFT kernels) and 0.65 MB fixed, which holds
-    # the per-solve near-field views; views built per node and not per
-    # leaf would add hundreds of bytes per node
+    # measured peaks: 2.86 MB at 25,601 nodes (2.98 MB when the solve
+    # is the first to import numpy.fft) and 9.22 MB at 102,401, that is
+    # about 83 bytes per node (values, predictors, slopes, two far-field
+    # sums, FFT kernels and the widest spread's chunk transforms) and
+    # 0.7 MB fixed, which holds the per-solve near-field views; views
+    # built per node and not per leaf would add hundreds of bytes per node
     problem = _ivp(lambda t, y: t * y, 1.0, 2.0, 0.5)
     nodes = 25601
     tracemalloc.start()
@@ -340,7 +343,7 @@ def test_caputo_solve_memory_is_bounded_per_node():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 96 * nodes + 2**20, peak
+    assert peak <= 78 * nodes + 2**20, peak
 
 
 def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
@@ -501,6 +504,19 @@ def test_blow_up_guard_parity(y0, bad, monkeypatch):
             assert not -cf.BLOWUP_LIMIT <= exc.value <= cf.BLOWUP_LIMIT
             reports.append((exc.step_index, exc.t, exc.last_value))
         assert reports == [(3, 0.75, y0)] * 4, block
+
+
+def test_classical_predictor_guard_reports_step_and_last_value():
+    # the slope jumps to 4e12 at t = 2h: the step-2 corrector averages it
+    # into 5e11, and the step-3 Euler predictor 5e11 + h * 4e12 leaves the
+    # limit before any corrector runs
+    h = 0.25
+    problem = _ivp(lambda t, y: 4e12 if t >= 2 * h else 0.0, 0.0, 2.0, 1.0)
+    with pytest.raises(BlowUpError) as info:
+        cf.solve_classical_pc(problem, h)
+    exc = info.value
+    assert (exc.step_index, exc.t, exc.last_value, exc.value) == (
+        3, 0.75, 5e11, 1.5e12)
 
 
 @pytest.mark.parametrize("y0", [cf.BLOWUP_LIMIT, -cf.BLOWUP_LIMIT])
