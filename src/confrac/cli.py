@@ -15,16 +15,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .core import MIN_ORDER, as_alpha
+from .core import MIN_ORDER, UniformGrid, as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
     METHODS,
     _exact_column,
-    _floats,
+    _node_blocks,
     builtin_problems,
     get_problem,
     halving_orders,
@@ -40,37 +41,35 @@ EXIT_BLOWUP = 3
 #: node stride between the exact-solution markers of an SVG
 _MARKER_STRIDE = 90
 
-#: polyline points are computed and written this many at a time, so no
-#: string or list as long as the grid is ever held
-_CHUNK = 4096
 
+def write_csv(header: Sequence[str], blocks, path: str) -> None:
+    """Write a header line and then blocks of rows as CSV.
 
-def write_csv(table, path: str) -> None:
-    """Write a (header, rows) table as CSV, one row at a time.
-
-    ``rows`` may be any iterable of tuples, a generator included: each row
-    is formatted and written as it arrives, so no copy of the table is
-    held.  One ``%``-template is built per table from the first row:
-    ``%.17g`` (17 significant digits) for a float cell and ``%s`` for a
-    str cell (empty string for a blank field), so every column must hold
-    a single type, all float or all str.  Lines end with a single line
-    feed.  A row that raises leaves a truncated file behind, so rows must
-    only format values computed beforehand; the subcommands evaluate their
+    A block is a tuple of equal-length columns, each a float64 array
+    (cells written with ``%.17g``, 17 significant digits) or a list of str
+    (cells written as they are; ``""`` is a blank field).  The row template
+    is built once, from the first block's column kinds, so a column keeps
+    its kind in every block.  Each block is formatted with one ``%`` and
+    written as it arrives, so ``blocks`` may be a generator and only one
+    block's text is held at a time.  Lines end with a single line feed.  A
+    block that raises leaves a truncated file behind, so blocks must only
+    slice values computed beforehand; the subcommands evaluate their
     closed forms before calling this.
     """
-    header, rows = table
-    rows = iter(rows)
+    template = None
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            first = next(rows, None)
-            if first is None:
-                return
-            template = ",".join(
-                "%s" if isinstance(cell, str) else "%.17g" for cell in first
-            ) + "\n"
-            fh.write(template % first)
-            fh.writelines(map(template.__mod__, rows))
+            for block in blocks:
+                if template is None:
+                    template = ",".join(
+                        "%.17g" if isinstance(column, np.ndarray) else "%s"
+                        for column in block
+                    ) + "\n"
+                cells = [column.tolist() if isinstance(column, np.ndarray)
+                         else column for column in block]
+                rows = len(cells[0])
+                fh.write((template * rows) % tuple(chain.from_iterable(zip(*cells))))
     except OSError as exc:
         raise ConfracError(f"cannot write {path!r}: {exc}") from exc
 
@@ -112,24 +111,43 @@ def _nice_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     return list(zip(ticks, labels))
 
 
+def _write_points(fh, grid: UniformGrid, values: np.ndarray, px, py) -> None:
+    """Write the polyline's ``x,y`` pixel pairs, one block of nodes at a time.
+
+    Kept apart from :func:`write_svg`: under tracemalloc an allocation costs
+    time in proportion to the allocating function's length, and this loop
+    makes several per point.
+    """
+    point = "%.2f,%.2f".__mod__
+    for lo, times in _node_blocks(grid):
+        xs = px(times).tolist()
+        ys = py(values[lo:lo + len(times)]).tolist()
+        if lo:
+            fh.write(" ")
+        fh.write(" ".join(map(point, zip(xs, ys))))
+
+
 def write_svg(
-    times: np.ndarray,
+    grid: UniformGrid,
     values: np.ndarray,
     markers: np.ndarray,
     path: str,
 ) -> None:
     """Render a solution column as a static 800x600 SVG.
 
-    ``values`` at the nodes ``times`` is drawn as a polyline; ``markers``,
-    the exact solution at ``times[::_MARKER_STRIDE]``, appears as hollow
-    circles, matching the sparse-marker figure style.  Markers and axes are
-    computed first; the polyline's pixels are then computed and written
-    ``_CHUNK`` points at a time, so no string or list as long as the grid
-    is built.
+    ``values`` at the nodes of ``grid`` is drawn as a polyline;
+    ``markers``, the exact solution at every ``_MARKER_STRIDE``-th node,
+    appears as hollow circles, matching the sparse-marker figure style.
+    Markers and axes are computed first; the polyline's node times and
+    pixels are then computed and written one block of nodes at a time
+    (:func:`~confrac.problems._node_blocks`), so no array, list or string
+    as long as the grid is built.
     """
     marker_ys = markers.tolist()
-    marker_points = list(zip(times[::_MARKER_STRIDE].tolist(), marker_ys))
-    x_lo, x_hi = float(times[0]), float(times[-1])
+    marker_points = list(zip(
+        (grid.node(j) for j in range(0, grid.node_count, _MARKER_STRIDE)),
+        marker_ys))
+    x_lo, x_hi = grid.node(0), grid.node(grid.panel_count)
     y_lo = min([float(values.min())] + marker_ys)
     y_hi = max([float(values.max())] + marker_ys)
     x_pad = 0.05 * (x_hi - x_lo)
@@ -215,17 +233,11 @@ def write_svg(
     )
     tail.append("</svg>")
 
-    point = "%.2f,%.2f".__mod__
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("\n".join(parts))
             fh.write('\n<polyline points="')
-            for lo in range(0, len(times), _CHUNK):
-                xs = px(times[lo:lo + _CHUNK]).tolist()
-                ys = py(values[lo:lo + _CHUNK]).tolist()
-                if lo:
-                    fh.write(" ")
-                fh.write(" ".join(map(point, zip(xs, ys))))
+            _write_points(fh, grid, values, px, py)
             fh.write(f'" fill="none" stroke="{_CURVE_COLOR}" '
                      f'stroke-width="1.5"/>\n')
             fh.write("\n".join(tail))
@@ -236,6 +248,12 @@ def write_svg(
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
+
+
+def _row_blocks(grid: UniformGrid, *columns: np.ndarray):
+    """CSV blocks: each block's node times, then its slice of every column."""
+    for lo, times in _node_blocks(grid):
+        yield (times, *(column[lo:lo + len(times)] for column in columns))
 
 
 def cmd_list() -> int:
@@ -262,19 +280,19 @@ def cmd_solve(
         raise ValueError(f"format must be csv or svg, got {format!r}")
     named = get_problem(problem)
     alpha = as_alpha(alpha)
-    # both formats read only times and values: the rest of the trace, its
-    # predictors included, is let go before the node times are allocated
+    # both formats read only the grid and the values: the rest of the
+    # trace, its predictors included, is let go before the closed form is
+    # sampled
     trace = solve_named(named, method, alpha, h, tau)
     grid, values = trace.grid, trace.values
     del trace
-    times = grid.nodes()
     if format == "svg":
-        markers = _exact_column(named.exact, alpha, times[::_MARKER_STRIDE])
-        write_svg(times, values, markers, output)
+        markers = _exact_column(named.exact, alpha, grid, _MARKER_STRIDE)
+        write_svg(grid, values, markers, output)
         return EXIT_OK
-    columns = times, values, _exact_column(named.exact, alpha, times)
-    rows = ((t, y, ref, abs(y - ref)) for t, y, ref in zip(*map(_floats, columns)))
-    write_csv((["t", "y_num", "y_exact", "abs_err"], rows), output)
+    blocks = _row_blocks(grid, values, _exact_column(named.exact, alpha, grid))
+    write_csv(["t", "y_num", "y_exact", "abs_err"],
+              ((t, y, ref, np.abs(y - ref)) for t, y, ref in blocks), output)
     return EXIT_OK
 
 
@@ -290,11 +308,12 @@ def cmd_convergence(
     """Write the step-halving error table for one problem/method."""
     named = get_problem(problem)
     pairs = refinement_errors(named, method, as_alpha(alpha), tau, h0, levels)
-    orders = [None] + halving_orders([err for _, err in pairs])
+    steps, errors = (np.array(column) for column in zip(*pairs))
     # the order column is all str, so blank cells and numbers share a template
-    rows = ((h, err, "" if order is None else "%.17g" % order)
-            for (h, err), order in zip(pairs, orders))
-    write_csv((["h", "endpoint_abs_error", "estimated_order"], rows), output)
+    orders = ["" if order is None else "%.17g" % order
+              for order in [None, *halving_orders(errors.tolist())]]
+    write_csv(["h", "endpoint_abs_error", "estimated_order"],
+              [(steps, errors, orders)], output)
     return EXIT_OK
 
 
@@ -317,10 +336,9 @@ def cmd_compare(
     # only the values are written: each trace, predictors included, is let
     # go as soon as its run returns
     values = [solve_named(named, m, alpha, h, tau).values for m in methods]
-    times = grids[0].nodes()
-    header = ["t", *(f"y_{m}" for m in methods), "y_exact"]
-    columns = [times, *values, _exact_column(named.exact, alpha, times)]
-    write_csv((header, zip(*map(_floats, columns))), output)
+    exact = _exact_column(named.exact, alpha, grids[0])
+    write_csv(["t", *(f"y_{m}" for m in methods), "y_exact"],
+              _row_blocks(grids[0], *values, exact), output)
     return EXIT_OK
 
 

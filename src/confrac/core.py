@@ -25,7 +25,8 @@ ScalarFunction = Callable[[float], float]
 GRID_RTOL = 1e-9
 
 #: largest grid make_grid builds; a conformable solve holds 16 bytes per
-#: node, and the Caputo solver takes at most solvers.CAPUTO_MAX_NODES
+#: node, and the Caputo solver and the direct conformable reference take at
+#: most solvers.CAPUTO_MAX_NODES and solvers.DIRECT_MAX_NODES
 MAX_NODES = 10**7
 
 #: smallest order Alpha accepts: below it the solves' errors pass twice

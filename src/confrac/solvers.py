@@ -55,6 +55,20 @@ BLOWUP_LIMIT = 1e12
 #: nodes on a shared 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
 
+#: largest grid :func:`solve_conformable_pc_direct` accepts (its own key,
+#: ``"direct"``, in :func:`solver_grid`): it re-sums the whole history at
+#: every step, so its work grows like n**2; one solve took 0.52 s at 40,001
+#: nodes, 1.95-2.26 s at 100,001 and 8.3 s at 200,001 on a shared 2-core
+#: x86 machine
+DIRECT_MAX_NODES = 10**5
+
+#: the node ceiling of each :func:`solver_grid` key that has one, and the
+#: solver its refusal names
+_NODE_CEILINGS = {
+    "caputo": (CAPUTO_MAX_NODES, "the Caputo solver"),
+    "direct": (DIRECT_MAX_NODES, "the direct conformable solver"),
+}
+
 #: steps per block of the conformable solver: each block builds its own
 #: coefficients, so its memory does not grow with the grid
 _BLOCK = 4096
@@ -126,17 +140,18 @@ class SolutionTrace:
         return float(self.values[-1])
 
 
-def _run(method, problem, h, march) -> SolutionTrace:
+def _run(method, problem, h, march, grid_key=None) -> SolutionTrace:
     """The frame around every solver's stepping loop.
 
-    Builds the grid through :func:`solver_grid` and allocates ``values``
-    (with ``values[0] = y0``) and ``predictors``.  ``march(grid, values,
-    predictors)`` then fills both arrays; a :class:`BlowUpError` it raises
-    comes back with the node's time and the last accepted value filled in,
-    so a loop must have written that value first.  The loops pay nothing
-    for it.
+    Builds the grid through :func:`solver_grid`, under ``grid_key`` when
+    given and ``method`` otherwise (``method`` names the trace), and
+    allocates ``values`` (with ``values[0] = y0``) and ``predictors``.
+    ``march(grid, values, predictors)`` then fills both arrays; a
+    :class:`BlowUpError` it raises comes back with the node's time and the
+    last accepted value filled in, so a loop must have written that value
+    first.  The loops pay nothing for it.
     """
-    grid = solver_grid(method, problem.order, problem.horizon, h)
+    grid = solver_grid(grid_key or method, problem.order, problem.horizon, h)
     values = np.empty(grid.node_count)
     predictors = np.empty(grid.node_count - 1)
     values[0] = problem.y0
@@ -156,16 +171,19 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
     at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve of
     n nodes keeps no whole-grid coefficient array and peaks at about 80
     bytes per node, and past ``_FFT_SIZE`` nodes its time grows like
-    n**2 / ``_FFT_SIZE``).
+    n**2 / ``_FFT_SIZE``) and at most ``DIRECT_MAX_NODES`` for
+    ``"direct"``, the O(n**2) reference :func:`solve_conformable_pc_direct`.
     """
     grid = make_grid(horizon, h)
     if method == "classical" and order.value != 1.0:
         raise DomainError(f"classical scheme requires order 1, got {order.value!r}")
-    if method == "caputo" and grid.node_count > CAPUTO_MAX_NODES:
-        raise GridError(
-            f"step {h!r} gives {grid.node_count} nodes on [0, {horizon!r}]; "
-            f"the Caputo solver takes at most {CAPUTO_MAX_NODES}"
-        )
+    if method in _NODE_CEILINGS:
+        ceiling, solver = _NODE_CEILINGS[method]
+        if grid.node_count > ceiling:
+            raise GridError(
+                f"step {h!r} gives {grid.node_count} nodes on [0, {horizon!r}]; "
+                f"{solver} takes at most {ceiling}"
+            )
     return grid
 
 
@@ -250,9 +268,10 @@ def solve_conformable_pc_direct(
 ) -> SolutionTrace:
     """Reference variant of :func:`solve_conformable_pc` without accumulators.
 
-    Re-sums the full weighted history at every step (O(n) per step).  Kept
-    as an independent route for cross-checking the accumulator algebra;
-    results agree with the fast path to rounding.
+    Re-sums the full weighted history at every step (O(n) per step), so it
+    takes at most ``DIRECT_MAX_NODES`` nodes.  Kept as an independent route
+    for cross-checking the accumulator algebra; results agree with the fast
+    path to rounding.
     """
     def march(grid, values, predictors):
         rhs, y0 = problem.rhs, problem.y0
@@ -278,7 +297,7 @@ def solve_conformable_pc_direct(
             if step < panels:
                 slopes[step] = rhs(t_next, corrected)
 
-    return _run("conformable", problem, h, march)
+    return _run("conformable", problem, h, march, grid_key="direct")
 
 
 def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:

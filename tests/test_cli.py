@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from confrac import cli, problems
@@ -184,32 +186,46 @@ def test_csv_lets_the_trace_go_before_the_closed_form(
     assert len(alive) == exact_calls and not any(alive)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "svg"])
-def test_solve_lets_the_trace_go_before_node_times(fmt, tmp_path, monkeypatch):
-    # the node-time column is as long as the predictors: it is allocated
-    # only once the trace holding them is gone
-    refs, calls = [], []
-    solve_named = cli.solve_named
-    nodes = UniformGrid.nodes
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "conformable"],
+    ["solve", "--method", "conformable", "--format", "svg"],
+    ["compare", "--methods", "conformable,caputo"],
+], ids=["solve-csv", "solve-svg", "compare"])
+def test_cli_never_builds_a_whole_grid_node_time_array(argv, tmp_path, monkeypatch):
+    # node times are made one block at a time: no output holds an array of
+    # every node's time
+    def no_nodes(grid):
+        raise AssertionError(f"nodes() built all {grid.node_count} node times")
 
-    def watched_solve(*args):
-        trace = solve_named(*args)
-        refs.append(weakref.ref(trace))
-        return trace
-
-    def watched_nodes(grid):
-        assert refs and all(ref() is None for ref in refs)
-        calls.append(grid.node_count)
-        return nodes(grid)
-
-    monkeypatch.setattr(cli, "solve_named", watched_solve)
-    monkeypatch.setattr(UniformGrid, "nodes", watched_nodes)
+    monkeypatch.setattr(UniformGrid, "nodes", no_nodes)
     assert run_cli(
-        "solve", "--problem", "example1", "--method", "conformable",
-        "--alpha", "0.5", "--h", "0.01", "--tau", "1", "--format", fmt,
-        "--output", str(tmp_path / f"run.{fmt}"),
+        *argv, "--problem", "example1", "--alpha", "0.5", "--h", "0.01",
+        "--tau", "1", "--output", str(tmp_path / "run.out"),
     ) == 0
-    assert calls == [101]
+
+
+#: what a 200,001-node solve may hold beyond the 16 bytes per node of its
+#: two float64 arrays (values and predictors while it steps, values and the
+#: CSV's closed-form column after).  Both formats measured 0.69 MB, the
+#: solver's coefficient block; a whole-grid node-time array adds 1.6 MB
+_SLACK = 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_solve_memory_is_the_solvers_arrays(fmt, tmp_path):
+    out = tmp_path / f"run.{fmt}"
+    argv = ["solve", "--problem", "example1", "--method", "conformable",
+            "--alpha", "0.5", "--tau", "2", "--format", fmt, "--output", str(out)]
+    # a small run first, so imports and caches are not counted
+    assert run_cli(*argv, "--h", "0.01") == 0
+    nodes = 200_001
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv, "--h", "1e-5") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * nodes + _SLACK, peak
 
 
 # ---------------------------------------------------------------- convergence
@@ -315,26 +331,44 @@ def test_outputs_are_byte_stable(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, out.name
 
 
-@pytest.mark.parametrize("command", ["solve-csv", "solve-svg", "compare"])
+@pytest.mark.parametrize("command", [
+    "solve-csv", "solve-svg", "compare", "convergence"])
 def test_chunk_length_does_not_change_bytes(command, tmp_path, monkeypatch):
-    # 2,001 nodes: one chunk by default, 286 chunks of 7
+    # 2,001 nodes: two chunks by default, 286 chunks of 7
     command, _, fmt = command.partition("-")
-    args = [command, "--problem", "example1", "--alpha", "0.5", "--tau", "2",
-            "--h", "0.001"]
+    args = [command, "--problem", "example1", "--alpha", "0.5", "--tau", "2"]
     if command == "solve":
-        args += ["--method", "conformable", "--format", fmt]
+        args += ["--h", "0.001", "--method", "conformable", "--format", fmt]
+    elif command == "compare":
+        args += ["--h", "0.001", "--methods", "conformable,caputo"]
     else:
-        args += ["--methods", "conformable,caputo"]
+        # 9 rows, more than one chunk of 7 (the table is one CSV block)
+        args += ["--method", "conformable", "--h0", "0.04", "--levels", "9"]
     outputs = []
-    for chunk in (cli._CHUNK, 7):
-        # SVG polyline chunks, and the float slices of the CSV columns and
-        # of the closed-form column
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
-        monkeypatch.setattr(problems, "_SLICE", chunk)
+    for chunk in (problems._CHUNK, 7):
+        # node-time blocks: the closed-form slices, the CSV blocks and the
+        # SVG polyline chunks
+        monkeypatch.setattr(problems, "_CHUNK", chunk)
         out = tmp_path / f"{chunk}.out"
         assert run_cli(*args, "--output", str(out)) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_csv_block_boundaries_do_not_change_bytes(tmp_path):
+    # a float column and a str column, blank cells included, cut into
+    # blocks at every length: the same bytes as one block
+    numbers = np.array([0.1, 2.0, -3.5e-300, 1 / 3, 7.0])
+    labels = ["", "a", "", "1.5", "z"]
+    outputs = set()
+    for length in range(1, 6):
+        blocks = [(numbers[lo:lo + length], labels[lo:lo + length])
+                  for lo in range(0, 5, length)]
+        out = tmp_path / f"{length}.csv"
+        cli.write_csv(["x", "label"], blocks, str(out))
+        outputs.add(out.read_bytes())
+    assert outputs == {b"x,label\n0.10000000000000001,\n2,a\n"
+                       b"-3.5000000000000002e-300,\n0.33333333333333331,1.5\n7,z\n"}
 
 
 # ---------------------------------------------------------------- exit codes

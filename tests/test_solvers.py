@@ -364,6 +364,29 @@ def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
         cf.solve_caputo_pc(_ivp(lambda t, y: y, 1.0, 2.0, 0.5), 4e-7)
 
 
+def test_direct_reference_rejects_oversized_grid_before_tables(monkeypatch):
+    def no_coefficients(*args):
+        raise AssertionError("coefficients generated")
+
+    monkeypatch.setattr(cf.solvers, "coefficient_tables", no_coefficients)
+    ceiling = cf.solvers.DIRECT_MAX_NODES
+    order = cf.Alpha(0.5)
+    grid = cf.solvers.solver_grid("direct", order, 1.0, 1 / (ceiling - 1))
+    assert grid.node_count == ceiling
+    with pytest.raises(GridError, match="direct conformable solver"):
+        cf.solvers.solver_grid("direct", order, 1.0, 1 / ceiling)
+    # one node over: the O(n**2) reference refuses it, the fast solver's
+    # grid takes it
+    with pytest.raises(GridError, match="direct conformable solver"):
+        cf.solve_conformable_pc_direct(_ivp(lambda t, y: y, 1.0, 1.0, 0.5), 1 / ceiling)
+    assert cf.solvers.solver_grid("conformable", order, 1.0, 1 / ceiling).node_count \
+        == ceiling + 1
+    # the ceiling has its own key, but the trace is a conformable one
+    monkeypatch.undo()
+    trace = cf.solve_conformable_pc_direct(_ivp(lambda t, y: y, 1.0, 1.0, 0.5), 0.25)
+    assert trace.method == "conformable"
+
+
 def test_caputo_alpha_one_matches_classical_for_time_only_rhs():
     # with f independent of y both schemes are the cumulative trapezoid rule
     rhs = lambda t, y: math.cos(t)
