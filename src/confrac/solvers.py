@@ -14,10 +14,11 @@ blow-up and returns the trace:
   through two running accumulators and one step costs O(1).
 * :func:`solve_caputo_pc` -- the Adams-Bashforth-Moulton scheme for the
   Caputo derivative of order in [1e-9, 1].  Its weights depend on the
-  distance to the current node, so the history sums are convolutions,
-  summed by divide and conquer with FFTs.  Those FFTs are cut into chunk
-  pairs of ``_FFT_SIZE`` points, so past that many nodes the far field
-  grows like n**2 / ``_FFT_SIZE``, not n log**2 n.
+  distance to the current node, so the history sums are convolutions:
+  direct dots inside leaves of ``_LEAF`` steps, and FFTs over chunks of
+  two leaves, each chunk summing every earlier one in the frequency
+  domain, so past ``_CHUNK`` nodes the far field grows like
+  n**2 / ``_CHUNK``.
 
 All solvers apply the corrector once per step (PECE) and abort with
 :class:`BlowUpError` as soon as a predicted or corrected value leaves
@@ -50,9 +51,9 @@ RightHandSide = Callable[[float, float], float]
 BLOWUP_LIMIT = 1e12
 
 #: largest grid the Caputo solver accepts (checked by :func:`solver_grid`,
-#: also for a direct call); one solve took 0.06-0.10 s at 25,601 nodes,
-#: 0.24-0.31 s at 102,401 and 3.8-4.6 s (99-100 MB peak RSS) at 10**6
-#: nodes on a shared 2-core x86 machine
+#: also for a direct call); one solve took 0.08-0.09 s at 25,601 nodes,
+#: 0.22-0.40 s at 102,401 and 4.2-6.1 s (91 MB peak RSS) at 10**6 nodes
+#: on a shared 2-core x86 machine
 CAPUTO_MAX_NODES = 10**6
 
 #: largest grid :func:`solve_conformable_pc_direct` accepts (its own key,
@@ -73,10 +74,10 @@ _NODE_CEILINGS = {
 #: coefficients, so its memory does not grow with the grid
 _BLOCK = 4096
 
-# steps per leaf of the Caputo history recursion, and the largest FFT
-# size its far-field convolutions use (both powers of two)
+# steps per leaf of the Caputo history sums, and nodes per chunk of their
+# far field
 _LEAF = 1024
-_FFT_SIZE = 4096
+_CHUNK = 2 * _LEAF
 
 
 @dataclass(frozen=True)
@@ -169,9 +170,9 @@ def solver_grid(method: str, order: Alpha, horizon: float, h: float) -> UniformG
     """The grid the ``method`` solver steps over, after the checks it makes
     on its grid and order: :func:`make_grid`'s, order 1 for ``"classical"``,
     at most ``CAPUTO_MAX_NODES`` nodes for ``"caputo"`` (a Caputo solve of
-    n nodes keeps no whole-grid coefficient array and peaks at about 80
-    bytes per node, and past ``_FFT_SIZE`` nodes its time grows like
-    n**2 / ``_FFT_SIZE``) and at most ``DIRECT_MAX_NODES`` for
+    n nodes keeps no whole-grid coefficient array and peaks at about 65
+    bytes per node, and past ``_CHUNK`` nodes its time grows like
+    n**2 / ``_CHUNK``) and at most ``DIRECT_MAX_NODES`` for
     ``"direct"``, the O(n**2) reference :func:`solve_conformable_pc_direct`.
     """
     grid = make_grid(horizon, h)
@@ -314,128 +315,51 @@ def caputo_weights(n: int, alpha: AlphaLike) -> tuple[np.ndarray, np.ndarray]:
     return rect[::-1].copy(), np.concatenate(([tail[n]], trap[::-1]))
 
 
-def _caputo_coefficients(a, panels, f0):
-    """Corrector far field, near-field weights and FFT kernels of a Caputo solve.
-
-    One ascending pass over :func:`_coefficient_block` in blocks of
-    ``_FFT_SIZE // 2`` entries generates every coefficient index once:
-
-    * each block's closing entries times ``f0``, the slope at node 0, seed
-      ``far_c``, the corrector's far-field sums (node n takes entry n - 1),
-      so no closing weight outlives its block;
-    * the first block gives the near-field weights: ``rect_rev[span - k:]``
-      holds ``rect[k - 1], ..., rect[0]`` and ``trap_rev[span - k:]`` holds
-      ``trap[k], ..., trap[1]``, with ``span = min(_LEAF, panels)``;
-    * the first block also gives the kernels of the size-``_FFT_SIZE // 2``
-      FFT, and blocks ``k`` and ``k + 1`` the size-``_FFT_SIZE`` kernels for
-      chunk offset ``k``.  Both kernels of a pair read one index window:
-      position q of a size-``size`` kernel for offset ``k`` holds
-      ``rect[d]`` (predictor) and ``trap[d]`` (corrector), with
-      ``d = k * size // 2 + q``.
-
-    ``kernels`` maps ``(size, k)`` to the transform pair :func:`_spread`
-    reads.  Past ``_LEAF`` panels the pass runs to the end of the FFT chunk
-    that holds the last panel, so every kernel is whole without zero
-    padding and a node's value does not depend on how far the run goes.
-    Shorter runs build no kernel and do not load ``numpy.fft``.
-    """
-    half = _FFT_SIZE // 2
-    reach = panels + 1
-    if panels >= _LEAF:
-        from numpy import fft
-
-        reach = (panels // half + 1) * half
-    far_c = np.zeros(panels + 1)
-    kernels = {}
-    for lo in range(0, reach, half):
-        rect, trap, closing = _coefficient_block(lo, min(lo + half, reach), a)
-        # the last block starts at or before the last panel
-        far_c[lo + 1:lo + 1 + half] = closing[:panels - lo] * f0
-        if lo == 0:
-            span = min(_LEAF, panels)
-            rect_rev = rect[span - 1::-1].copy()
-            trap_rev = trap[span:0:-1].copy()
-            if panels >= _LEAF:
-                kernels[half, 0] = fft.rfft(rect), fft.rfft(trap)
-        else:
-            kernels[_FFT_SIZE, lo // half - 1] = (
-                fft.rfft(np.concatenate((rect_before, rect))),
-                fft.rfft(np.concatenate((trap_before, trap))))
-        rect_before, trap_before = rect, trap
-    return far_c, rect_rev, trap_rev, kernels
-
-
-def _spread(kernels, slopes, far_p, far_c, end, width):
-    """Adds the slopes at nodes ``end - width .. end - 1`` into the far-field
-    sums of nodes ``end .. end + width - 1`` (those that exist).
-
-    The block is cut into chunks of at most ``_FFT_SIZE // 2`` slopes; each
-    source/target chunk pair is one circular convolution of twice the chunk
-    length with a kernel transform from ``kernels``
-    (:func:`_caputo_coefficients`), summed per target chunk in the
-    frequency domain.  A slope at distance d takes ``rect[d - 1]``, so the
-    predictor sums are read one point before the corrector sums.  Slope 0
-    is left out of the corrector sum: it enters through the closing weight.
-    """
-    from numpy import fft
-
-    chunk = min(width, _FFT_SIZE // 2)
-    size = 2 * chunk
-    count = width // chunk
-    lo = end - width
-    sources = [fft.rfft(slopes[lo + i * chunk:lo + (i + 1) * chunk], size)
-               for i in range(count)]
-    corrector_sources = list(sources)
-    if lo == 0:
-        head = slopes[:chunk].copy()
-        head[0] = 0.0
-        corrector_sources[0] = fft.rfft(head, size)
-    nodes = far_p.shape[0]
-    for target in range(min(count, -(-(nodes - end) // chunk))):
-        acc_p = acc_c = 0.0
-        for i in range(count):
-            kernel_p, kernel_c = kernels[size, count + target - i - 1]
-            acc_p = acc_p + sources[i] * kernel_p
-            acc_c = acc_c + corrector_sources[i] * kernel_c
-        start = end + target * chunk
-        stop = min(start + chunk, nodes)
-        far_p[start:stop] += fft.irfft(acc_p, size)[
-            chunk - 1:chunk - 1 + stop - start]
-        far_c[start:stop] += fft.irfft(acc_c, size)[chunk:chunk + stop - start]
-
-
 def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
     """Adams-Bashforth-Moulton run for a Caputo problem of order in [1e-9, 1].
 
     Fractional rectangle predictor, fractional trapezoid corrector; the
-    weights are those :func:`caputo_weights` returns, generated once in
-    blocks by :func:`_caputo_coefficients`.  The history sums
-    are split by divide and conquer (Hairer, Lubich & Schlichte 1985):
-    nodes run in leaves of ``_LEAF`` steps, and each step adds one
-    contiguous dot over its own leaf's earlier slopes (the near field) to
-    far-field sums read from two per-solve arrays; the corrector's starts
-    from each node's closing-weight term.  After each leaf, the
-    power-of-two block of slopes that ends there is added into the
-    far-field sums of the equally long block that follows, by FFT
-    convolution (:func:`_spread`).  Up to ``_FFT_SIZE`` nodes that makes a
-    solve O(n log**2 n); wider blocks are cut into chunk pairs of
-    ``_FFT_SIZE`` points, so past it the far field grows like
-    n**2 / ``_FFT_SIZE``.  Grids of at most ``_LEAF`` nodes never reach an
-    FFT.
+    weights are those :func:`caputo_weights` returns, generated once, in
+    one ascending pass of :func:`_coefficient_block` over blocks of
+    ``_CHUNK`` indices.  The history sums are convolutions, summed in
+    three parts:
 
-    Past the first leaf, a step makes no numpy slice: its dots read views
+    * the near field: nodes run in leaves of ``_LEAF`` steps, and each
+      step dots its own leaf's earlier slopes against the first
+      coefficients;
+    * the first leaf of each chunk of ``_CHUNK`` nodes reaches the second
+      through one FFT convolution of size ``_CHUNK``;
+    * at the start of chunk c, the slopes of chunks 0 .. c - 1 reach all
+      of its nodes at once: each earlier chunk's slope spectrum (taken
+      once, size ``2 * _CHUNK``) times the kernel for its chunk distance
+      (both kernels of distance d are the transforms of coefficient
+      entries ``(d - 1) * _CHUNK .. (d + 1) * _CHUNK - 1``), summed in the
+      frequency domain by one ``einsum`` per sum.
+
+    Slope 0 is left out of the spectra: from chunk 1 on it enters both
+    sums by its own weight, and in the corrector it always takes the
+    closing weight.  Every kernel is whole, so a node's value does not
+    depend on how far the run goes.  Chunk c makes c spectrum-kernel
+    products per sum, so past ``_CHUNK`` nodes the far field grows like
+    n**2 / ``_CHUNK``.  Grids of at most ``_LEAF`` nodes never reach an FFT.
+
+    A step makes no numpy slice past the first leaf: its dots read views
     of the near-field weights and of a one-leaf slope buffer, built once
     per solve (at most about 0.45 MB, whatever the grid), and its value
-    and predictor go into Python lists written out once per leaf.  The leaf's
-    slopes are copied into the whole-grid slope array before each spread.
+    and predictor go into Python lists written out once per leaf.  Besides
+    ``values`` and ``predictors``, what grows with the grid is one slope
+    spectrum and two kernel transforms per chunk, about 48 bytes per node.
     """
     def march(grid, values, predictors):
         a = problem.order.value
         rhs, y0, step_size = problem.rhs, problem.y0, grid.step
         panels = grid.panel_count
         f0 = float(rhs(0.0, y0))
-        far_c, rect_rev, trap_rev, kernels = _caputo_coefficients(a, panels, f0)
-        span = rect_rev.shape[0]
+        rect, trap, closing = _coefficient_block(
+            0, _CHUNK if panels >= _LEAF else panels + 1, a)
+        span = min(_LEAF, panels)
+        rect_rev = rect[span - 1::-1].copy()
+        trap_rev = trap[span:0:-1].copy()
         # step k of a leaf dots the last k near-field weights against the
         # leaf's first k slopes; every view it needs is built here, once
         rect_tails = [rect_rev[span - k:] for k in range(span + 1)]
@@ -444,12 +368,36 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
         recent = [leaf[:k] for k in range(span + 1)]
         predictor_scale = h**a / gamma(a + 1.0)
         corrector_scale = h**a / gamma(a + 2.0)
-        slopes = np.empty(panels)
         leaf[0] = f0
-        far_p = np.zeros(grid.node_count)
+        # chunk 0's far field: node n takes closing entry n - 1 times f0
+        chunk_p = np.zeros(closing.shape[0])
+        chunk_c = np.concatenate(([0.0], closing[:-1])) * f0
+        if panels >= _LEAF:
+            from numpy import fft
+
+            half_p, half_c = fft.rfft(rect), fft.rfft(trap)
+            chunk_slopes = np.empty(_CHUNK)
+            # row i holds chunk i's slope spectrum and row count - d the
+            # kernels for chunk distance d, so chunk c reads rows 0 .. c - 1
+            # of the one against rows count - c .. count - 1 of the others
+            count = panels // _CHUNK
+            spectra, kernels_p, kernels_c = np.empty((3, count, _CHUNK + 1),
+                                                     complex)
         limit = BLOWUP_LIMIT
         for lo in range(0, grid.node_count, _LEAF):
             hi = min(lo + _LEAF, grid.node_count)
+            c, offset = divmod(lo, _CHUNK)
+            if lo and not offset:
+                # coefficient entries (c - 1) * _CHUNK .. (c + 1) * _CHUNK - 1
+                rects, traps, closings = (np.concatenate(pair) for pair in zip(
+                    (rect, trap, closing), _coefficient_block(lo, lo + _CHUNK, a)))
+                rect, trap, closing = rects[_CHUNK:], traps[_CHUNK:], closings[_CHUNK:]
+                row = count - c
+                kernels_p[row], kernels_c[row] = fft.rfft(rects), fft.rfft(traps)
+                sum_p = np.einsum("ij,ij->j", spectra[:c], kernels_p[row:])
+                sum_c = np.einsum("ij,ij->j", spectra[:c], kernels_c[row:])
+                chunk_p = rects[_CHUNK - 1:-1] * f0 + fft.irfft(sum_p)[_CHUNK - 1:-1]
+                chunk_c = closings[_CHUNK - 1:-1] * f0 + fft.irfft(sum_c)[_CHUNK:]
             # node 0 is the initial value; slope 0 enters the corrector
             # through the closing weight, not the near-field sum
             first = max(lo, 1)
@@ -463,9 +411,10 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
                          (leaf[1:k] for k in ks))
             sloped = panels - lo  # the last node's slope is never used
             leaf_values, leaf_predictors = [], []
+            at = slice(first - c * _CHUNK, hi - c * _CHUNK)
             steps = zip(
                 ks, (step_size * np.arange(first, hi)).tolist(),
-                far_p[first:hi].tolist(), far_c[first:hi].tolist(), *views,
+                chunk_p[at].tolist(), chunk_c[at].tolist(), *views,
             )
             try:
                 for k, t_next, p_far, c_far, rect_w, near, trap_w, c_near in steps:
@@ -484,10 +433,18 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
                 # on a blow-up too: the frame reads the last accepted value
                 values[first:first + len(leaf_values)] = leaf_values
             predictors[first - 1:hi - 1] = leaf_predictors
-            if hi < grid.node_count:
-                slopes[lo:hi] = leaf
-                leaves = hi // _LEAF
-                _spread(kernels, slopes, far_p, far_c, hi,
-                        _LEAF * (leaves & -leaves))
+            if hi == grid.node_count:
+                break
+            chunk_slopes[offset:offset + _LEAF] = leaf
+            if offset:
+                spectra[c] = fft.rfft(chunk_slopes, 2 * _CHUNK)
+            else:
+                # into the chunk's second leaf; chunk 0 then drops slope 0
+                spectrum = fft.rfft(leaf, _CHUNK)
+                chunk_p[_LEAF:] += fft.irfft(spectrum * half_p)[_LEAF - 1:-1]
+                if not lo:
+                    chunk_slopes[0] = 0.0
+                    spectrum = fft.rfft(chunk_slopes[:_LEAF], _CHUNK)
+                chunk_c[_LEAF:] += fft.irfft(spectrum * half_c)[_LEAF:]
 
     return _run("caputo", problem, h, march)

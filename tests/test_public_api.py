@@ -3,8 +3,13 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import confrac as cf
 from confrac import cli
+from confrac.core import MAX_NODES
+from confrac.solvers import CAPUTO_MAX_NODES, DIRECT_MAX_NODES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -107,6 +112,99 @@ def test_public_parameters_are_pinned():
     callables = {name: getattr(cf, name) for name in cf.__all__}
     assert {name: _parameters(obj) for name, obj in callables.items()
             if callable(obj)} == PUBLIC_PARAMETERS
+
+
+class _Reached(Exception):
+    """Raised by the first allocation, coefficient or function call a run makes."""
+
+
+def _first_work(*args):
+    raise _Reached
+
+
+def _ivp(order):
+    return cf.InitialValueProblem(_first_work, 1.0, 1.0, cf.Alpha(order))
+
+
+def _ladder(function, method, h0, levels):
+    return function(cf.get_problem("example1"), method, 0.5, 1.0, h0, levels)
+
+
+# Each parameter that sets how much work a call does, as (public name,
+# parameter, call, value at the bound, value just past it) on [0, 1].  A
+# ladder halves its step, so its finest grid has an even number of panels.
+_SIZE_CASES = [
+    ("caputo_weights", "n", lambda n: cf.caputo_weights(n, 0.5),
+     MAX_NODES - 1, MAX_NODES),
+    ("rectangle_weights", "n", lambda n: cf.rectangle_weights(n, 0.5),
+     MAX_NODES - 1, MAX_NODES),
+    ("trapezoid_weights", "n", lambda n: cf.trapezoid_weights(n, 0.5),
+     MAX_NODES - 1, MAX_NODES),
+    # n + 2 nodes
+    ("conformable_integral_numeric", "n",
+     lambda n: cf.conformable_integral_numeric(_first_work, 1.0, 0.5, n),
+     MAX_NODES - 2, MAX_NODES - 1),
+    ("make_grid", "h", lambda h: cf.make_grid(1.0, h),
+     1 / (MAX_NODES - 1), 1 / MAX_NODES),
+    ("solve_classical_pc", "h", lambda h: cf.solve_classical_pc(_ivp(1.0), h),
+     1 / (MAX_NODES - 1), 1 / MAX_NODES),
+    ("solve_conformable_pc", "h",
+     lambda h: cf.solve_conformable_pc(_ivp(0.5), h),
+     1 / (MAX_NODES - 1), 1 / MAX_NODES),
+    ("solve_conformable_pc_direct", "h",
+     lambda h: cf.solve_conformable_pc_direct(_ivp(0.5), h),
+     1 / (DIRECT_MAX_NODES - 1), 1 / DIRECT_MAX_NODES),
+    ("solve_caputo_pc", "h", lambda h: cf.solve_caputo_pc(_ivp(0.5), h),
+     1 / (CAPUTO_MAX_NODES - 1), 1 / CAPUTO_MAX_NODES),
+    *(("solve_named", "h", lambda h, method=method, order=order: cf.solve_named(
+        cf.get_problem("example1"), method, order, h, 1.0),
+       1 / (ceiling - 1), 1 / ceiling)
+      for method, order, ceiling in (("classical", 1.0, MAX_NODES),
+                                     ("conformable", 0.5, MAX_NODES),
+                                     ("caputo", 0.5, CAPUTO_MAX_NODES))),
+    *((name, "h0", lambda h0, f=function: _ladder(f, "caputo", h0, 2),
+       2 / (CAPUTO_MAX_NODES - 2), 2 / CAPUTO_MAX_NODES)
+      for name, function in (("refinement_errors", cf.refinement_errors),
+                             ("empirical_order", cf.empirical_order))),
+    *((name, "levels", lambda levels, f=function: _ladder(
+        f, "caputo", 2 / (CAPUTO_MAX_NODES - 2), levels), 2, 3)
+      for name, function in (("refinement_errors", cf.refinement_errors),
+                             ("empirical_order", cf.empirical_order))),
+]
+
+# parameters with a size-like name that set no size: the work does not
+# grow with them
+_NOT_SIZES = {
+    ("integrate_rectangle", "h"): "a scale; the work is one weight per sample",
+    ("integrate_trapezoid", "h"): "a scale; the work is one weight per sample",
+    ("trapezoid_tail_coefficient", "n"): "one coefficient index, O(1) work",
+}
+
+
+def test_every_size_parameter_has_a_bound_case():
+    sizes = {(name, parameter) for name, parameters in PUBLIC_PARAMETERS.items()
+             for parameter in parameters or ()
+             if parameter in ("n", "h", "h0", "levels")}
+    cases = {(name, parameter) for name, parameter, *_ in _SIZE_CASES}
+    assert sizes == cases | set(_NOT_SIZES)
+    assert not cases & set(_NOT_SIZES)
+
+
+@pytest.mark.parametrize("name,parameter,call,bound,past", _SIZE_CASES,
+                         ids=[f"{c[0]}({c[1]})" for c in _SIZE_CASES])
+def test_size_parameters_are_refused_past_their_bound_before_work(
+        monkeypatch, name, parameter, call, bound, past):
+    monkeypatch.setattr(np, "empty", _first_work)
+    monkeypatch.setattr(cf.quadrature, "_coefficient_block", _first_work)
+    monkeypatch.setattr(cf.solvers, "_coefficient_block", _first_work)
+    with pytest.raises(cf.GridError):
+        call(past)
+    # the bound itself passes every check: the call reaches its first
+    # allocation or function call, or returns when it has none
+    try:
+        call(bound)
+    except _Reached:
+        pass
 
 
 def test_readme_python_blocks_run():

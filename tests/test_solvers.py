@@ -233,16 +233,18 @@ def test_caputo_solver_matches_weight_vector_oracle(a):
 
 
 # largest relative gap between the FFT history sums and the oracle's
-# direct sums, over the grids and orders below: 1.81e-15 (a = 0.3,
-# 25,601 nodes); the bound leaves twice that
+# direct sums, over the grids and orders below: 1.41e-15 (a = 0.3,
+# 25,601 nodes; also the largest at 6,145 and 8,193 nodes); the bound
+# leaves more than twice that
 _RECURSION_GAP = 4e-15
 
 
 @pytest.mark.parametrize("nodes", [1025, 4097, 25601])
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.9, 1.0])
 def test_caputo_recursive_history_matches_oracle(a, nodes):
-    # past one 1,024-step leaf the far-field sums come from FFT blocks;
-    # from 4,097 nodes on, blocks are also cut into several FFT chunks
+    # past one 1,024-step leaf the far-field sums come from FFTs; from
+    # 4,097 nodes on, a chunk's far field sums several earlier 2,048-node
+    # chunks in the frequency domain
     problem = cf.get_problem("example1").problem(a, 2.0)
     h = 2.0 / (nodes - 1)
     trace = cf.solve_caputo_pc(problem, h)
@@ -265,12 +267,11 @@ def test_caputo_node_values_do_not_depend_on_horizon():
 
 
 # sha256 of values.tobytes() and predictors.tobytes() of the solve below,
-# frozen from the solver whose predictor and corrector kernels read one
-# coefficient window and whose corrector far field starts from the closing
-# terms
+# frozen from the solver that sums its far field in one ascending pass
+# over 2,048-node chunks
 _CAPUTO_25601_SHA256 = (
-    "bb30cfc38a775d02ad23c6883854a6a6ccf9f3ba84478fcb3a67a404198d68de",
-    "6430f385d73985bf9635f612fb577fb013e785a4a42a8edc3a395195ba6ff1cb",
+    "f56a1860b466a4c68711350b3003f955990edd8ad6bf72f8302baa4e14f587be",
+    "c5efe881300fd84c3837965d893b7f77f51fdd0bce1db4a0401f86d05b7acac6",
 )
 
 
@@ -290,9 +291,14 @@ def test_caputo_generates_each_coefficient_once_in_blocks(monkeypatch):
     trace = cf.solve_caputo_pc(cf.get_problem("example1").problem(0.5, 2.0),
                                2.0 / 25600)
     assert trace.grid.node_count == 25601
-    assert max(hi - lo for lo, hi in blocks) <= 4096
+    assert max(hi - lo for lo, hi in blocks) <= 2048
     indices = [j for lo, hi in blocks for j in range(lo, hi)]
     assert len(indices) == len(set(indices))
+    # one ascending, contiguous pass from index 0 to the end of the
+    # 2,048-index chunk that holds the last panel (25,600)
+    assert blocks[0][0] == 0
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    assert blocks[-1][1] == (25600 // 2048 + 1) * 2048
     assert (hashlib.sha256(trace.values.tobytes()).hexdigest(),
             hashlib.sha256(trace.predictors.tobytes()).hexdigest()
             ) == _CAPUTO_25601_SHA256
@@ -301,8 +307,8 @@ def test_caputo_generates_each_coefficient_once_in_blocks(monkeypatch):
 # sha256 of values.tobytes() and predictors.tobytes() of the 3,073-node
 # solve below, frozen from the same solver as _CAPUTO_25601_SHA256
 _CAPUTO_3073_SHA256 = (
-    "c25be55d288f53985d4e43351677091f0f4c1cdfd32818a96959f126953f909e",
-    "01f78b095eecdc68d3ae952124a1d6b4c351d995c7b6c177b3fba3711ad3ee04",
+    "e39f6a4c1fd2790333e3951c911693edfedd6d79f6c81453805f06e32026e488",
+    "2d9f7e1a10bcbe6b40d0dd981267808b48d48d0d9a0105cb46d1e520f30405b9",
 )
 
 
@@ -329,12 +335,13 @@ def test_caputo_bits_and_right_hand_side_calls_are_frozen(nodes, rhs_calls, dige
 
 
 def test_caputo_solve_memory_is_bounded_per_node():
-    # measured peaks: 2.86 MB at 25,601 nodes (2.98 MB when the solve
-    # is the first to import numpy.fft) and 9.22 MB at 102,401, that is
-    # about 83 bytes per node (values, predictors, slopes, two far-field
-    # sums, FFT kernels and the widest spread's chunk transforms) and
-    # 0.7 MB fixed, which holds the per-solve near-field views; views
-    # built per node and not per leaf would add hundreds of bytes per node
+    # measured peaks: 2.63 MB at 25,601 nodes (2.76 MB when the solve
+    # is the first to import numpy.fft) and 7.55 MB at 102,401, that is
+    # about 65 bytes per node (values, predictors, and per 2,048-node
+    # chunk one slope spectrum and two kernel transforms) and 0.9 MB
+    # fixed, which holds the per-solve near-field views; views built per
+    # node and not per leaf would add hundreds of bytes per node, and each
+    # whole-grid float array 8
     problem = _ivp(lambda t, y: t * y, 1.0, 2.0, 0.5)
     nodes = 25601
     tracemalloc.start()
@@ -343,7 +350,7 @@ def test_caputo_solve_memory_is_bounded_per_node():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 78 * nodes + 2**20, peak
+    assert peak <= 72 * nodes + 2**20, peak
 
 
 def test_caputo_rejects_oversized_grid_before_tables(monkeypatch):
