@@ -34,16 +34,7 @@ from .problems import (
     refinement_errors,
     solve_named,
 )
-from .quadrature import (
-    gamma,
-    integrate_rectangle,
-    integrate_trapezoid,
-    rectangle_coefficient,
-    rectangle_weights,
-    trapezoid_coefficient,
-    trapezoid_tail_coefficient,
-    trapezoid_weights,
-)
+from .quadrature import integrate_trapezoid, rectangle_weights, trapezoid_weights
 from .solvers import (
     BLOWUP_LIMIT,
     InitialValueProblem,
@@ -77,12 +68,9 @@ __all__ = [
     "conformable_integral_numeric",
     "empirical_order",
     "error_report",
-    "gamma",
     "get_problem",
-    "integrate_rectangle",
     "integrate_trapezoid",
     "make_grid",
-    "rectangle_coefficient",
     "rectangle_weights",
     "refinement_errors",
     "solve_caputo_pc",
@@ -90,7 +78,5 @@ __all__ = [
     "solve_conformable_pc",
     "solve_conformable_pc_direct",
     "solve_named",
-    "trapezoid_coefficient",
-    "trapezoid_tail_coefficient",
     "trapezoid_weights",
 ]

@@ -287,7 +287,9 @@ def cmd_solve(
     grid, values = trace.grid, trace.values
     del trace
     if format == "svg":
-        markers = _exact_column(named.exact, alpha, grid, _MARKER_STRIDE)
+        nodes = range(0, grid.node_count, _MARKER_STRIDE)
+        markers = np.fromiter((named.exact(grid.node(j), alpha) for j in nodes),
+                              float, len(nodes))
         write_svg(grid, values, markers, output)
         return EXIT_OK
     blocks = _row_blocks(grid, values, _exact_column(named.exact, alpha, grid))

@@ -64,7 +64,7 @@ class UniformGrid:
     """Nodes ``t_j = j * step`` for ``j = 0 .. node_count - 1``.
 
     The last node coincides with ``horizon`` up to the relative slack used
-    by :func:`make_grid`.
+    by :func:`make_grid`.  Holds at most ``MAX_NODES`` nodes.
     """
 
     step: float
@@ -74,6 +74,10 @@ class UniformGrid:
     def __post_init__(self):
         if self.node_count < 2:
             raise GridError(f"grid needs at least two nodes, got {self.node_count}")
+        if self.node_count > MAX_NODES:
+            raise GridError(
+                f"grid holds at most {MAX_NODES} nodes, got {self.node_count}"
+            )
         if not self.step > 0.0:
             raise GridError(f"step must be positive, got {self.step!r}")
 

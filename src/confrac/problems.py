@@ -269,31 +269,28 @@ def method_grid(
     return solver_grid(method, alpha, named._checked_horizon(alpha, horizon), h)
 
 
-def _node_blocks(grid: UniformGrid, stride: int = 1):
-    """``(lo, times)`` for each block of the nodes ``0, stride, 2*stride, ...``.
+def _node_blocks(grid: UniformGrid):
+    """``(lo, times)`` for each block of at most ``_CHUNK`` nodes of ``grid``.
 
-    ``times`` holds the times of the block's at most ``_CHUNK`` nodes,
-    starting at node ``lo``: ``grid.step * j`` on float64, the bits of
-    ``grid.nodes()`` and ``grid.node(j)``.  No array as long as the grid is
-    built.
+    ``times`` holds the times of the block's nodes, starting at node
+    ``lo``: ``grid.step * j`` on float64, the bits of ``grid.nodes()`` and
+    ``grid.node(j)``.  No array as long as the grid is built.
     """
-    span = stride * _CHUNK
-    for lo in range(0, grid.node_count, span):
-        hi = min(lo + span, grid.node_count)
-        yield lo, grid.step * np.arange(lo, hi, stride, dtype=float)
+    for lo in range(0, grid.node_count, _CHUNK):
+        hi = min(lo + _CHUNK, grid.node_count)
+        yield lo, grid.step * np.arange(lo, hi, dtype=float)
 
 
-def _exact_column(exact, alpha: Alpha, grid: UniformGrid, stride: int = 1) -> np.ndarray:
-    """The closed form at the nodes ``0, stride, 2*stride, ...`` of ``grid``.
+def _exact_column(exact, alpha: Alpha, grid: UniformGrid) -> np.ndarray:
+    """The closed form at every node of ``grid``.
 
     One ``exact`` call per node, on node times made one block at a time
     (:func:`_node_blocks`); the result is the only array that grows with
     the grid.
     """
-    count = len(range(0, grid.node_count, stride))
-    samples = (exact(t, alpha) for _, times in _node_blocks(grid, stride)
+    samples = (exact(t, alpha) for _, times in _node_blocks(grid)
                for t in times.tolist())
-    return np.fromiter(samples, float, count)
+    return np.fromiter(samples, float, grid.node_count)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ sums instead of re-summing history.  Every solver reads its coefficients
 from :func:`_coefficient_block`: the conformable and Caputo solvers in
 one ascending pass of blocks, the direct reference solver and the weight
 vectors through :func:`coefficient_tables`, which fills indices 0 .. n
-from the same blocks.  The scalar functions are per-index lookups with
-the same arithmetic, pinned bit for bit to the blocks.
+from the same blocks.  The scalar functions are per-index references with
+the same arithmetic, pinned bit for bit to the blocks; the package root
+does not export them.
 
 Large indices need care: the naive second difference subtracts three
 nearly equal numbers of size ``j**(a + 1)`` and loses roughly ``j**2``
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MAX_NODES, AlphaLike, as_alpha
-from .errors import DomainError, GridError
+from .errors import GridError
 
 #: index from which coefficients switch to the cancellation-free series
 _SERIES_CUTOFF = 128
@@ -44,14 +45,6 @@ _SERIES_CUTOFF = 128
 #: hard bound on series length; terms shrink by >= _SERIES_CUTOFF**-2 per
 #: step, so ~10 terms already reach double precision
 _SERIES_MAX_TERMS = 60
-
-
-def gamma(x: float) -> float:
-    """Euler's Gamma function for real x > 0 (thin wrapper over the C library)."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
-    return math.gamma(x)
 
 
 def _binomial_series(a: float, power, factor, ratios):
@@ -237,30 +230,15 @@ def trapezoid_weights(n: int, alpha: AlphaLike) -> np.ndarray:
     return np.append(trap, tail[n])
 
 
-def _checked_samples(samples: Sequence[float], expected: str) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"samples must form a non-empty 1-d sequence ({expected})")
-    return arr
-
-
-def integrate_rectangle(samples: Sequence[float], h: float, alpha: AlphaLike) -> float:
-    """Rectangle-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n.
-
-    ``samples[j]`` is g at node j*h.
-    """
-    arr = _checked_samples(samples, "one per node")
-    scale, _ = product_scales(as_alpha(alpha).value, float(h))
-    return scale * float(np.dot(rectangle_weights(arr.size - 1, alpha), arr))
-
-
 def integrate_trapezoid(samples: Sequence[float], h: float, alpha: AlphaLike) -> float:
     """Trapezoid-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n+1.
 
-    Needs at least two samples (one panel).  Exact whenever g is linear.
+    ``samples[j]`` is g at node j*h.  Needs at least two samples (one
+    panel).  Exact whenever g is linear.
     """
-    arr = _checked_samples(samples, "one per node, at least two")
-    if arr.size < 2:
-        raise ValueError("trapezoid rule needs at least two samples")
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("samples must form a 1-d sequence of at least two, "
+                         "one per node")
     _, scale = product_scales(as_alpha(alpha).value, float(h))
     return scale * float(np.dot(trapezoid_weights(arr.size - 2, alpha), arr))

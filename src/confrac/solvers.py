@@ -37,12 +37,7 @@ import numpy as np
 
 from .core import Alpha, AlphaLike, UniformGrid, make_grid
 from .errors import BlowUpError, DomainError, GridError
-from .quadrature import (
-    _coefficient_block,
-    coefficient_tables,
-    gamma,
-    product_scales,
-)
+from .quadrature import _coefficient_block, coefficient_tables, product_scales
 
 #: a right-hand side f(t, y)
 RightHandSide = Callable[[float, float], float]
@@ -366,8 +361,9 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
         trap_tails = [trap_rev[span - k:] for k in range(span + 1)]
         leaf = np.empty(span)
         recent = [leaf[:k] for k in range(span + 1)]
-        predictor_scale = h**a / gamma(a + 1.0)
-        corrector_scale = h**a / gamma(a + 2.0)
+        # a + 1 and a + 2 lie in [1, 3], where math.gamma is finite
+        predictor_scale = h**a / math.gamma(a + 1.0)
+        corrector_scale = h**a / math.gamma(a + 2.0)
         leaf[0] = f0
         # chunk 0's far field: node n takes closing entry n - 1 times f0
         chunk_p = np.zeros(closing.shape[0])

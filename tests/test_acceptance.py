@@ -214,7 +214,7 @@ _UNIT_SOURCE = cf.NamedProblem(
     solution="y(t) = t^a / gamma(a+1)",
     y0=0.0,
     family=lambda t, y, a: 1.0,
-    exact=lambda t, a: t ** float(a) / cf.gamma(float(a) + 1.0),
+    exact=lambda t, a: t ** float(a) / math.gamma(float(a) + 1.0),
 )
 
 

@@ -1,4 +1,5 @@
 import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -35,12 +36,9 @@ PUBLIC_NAMES = [
     "conformable_integral_numeric",
     "empirical_order",
     "error_report",
-    "gamma",
     "get_problem",
-    "integrate_rectangle",
     "integrate_trapezoid",
     "make_grid",
-    "rectangle_coefficient",
     "rectangle_weights",
     "refinement_errors",
     "solve_caputo_pc",
@@ -48,8 +46,6 @@ PUBLIC_NAMES = [
     "solve_conformable_pc",
     "solve_conformable_pc_direct",
     "solve_named",
-    "trapezoid_coefficient",
-    "trapezoid_tail_coefficient",
     "trapezoid_weights",
 ]
 
@@ -77,12 +73,9 @@ PUBLIC_PARAMETERS = {
     "conformable_integral_numeric": ["g", "tau", "alpha", "n"],
     "empirical_order": ["named", "method", "alpha", "tau", "h0", "levels"],
     "error_report": ["trace", "exact", "alpha"],
-    "gamma": ["x"],
     "get_problem": ["problem_id"],
-    "integrate_rectangle": ["samples", "h", "alpha"],
     "integrate_trapezoid": ["samples", "h", "alpha"],
     "make_grid": ["tau", "h"],
-    "rectangle_coefficient": ["j", "alpha"],
     "rectangle_weights": ["n", "alpha"],
     "refinement_errors": ["named", "method", "alpha", "tau", "h0", "levels"],
     "solve_caputo_pc": ["problem", "h"],
@@ -90,8 +83,6 @@ PUBLIC_PARAMETERS = {
     "solve_conformable_pc": ["problem", "h"],
     "solve_conformable_pc_direct": ["problem", "h"],
     "solve_named": ["named", "method", "alpha", "h", "horizon"],
-    "trapezoid_coefficient": ["j", "alpha"],
-    "trapezoid_tail_coefficient": ["n", "alpha"],
     "trapezoid_weights": ["n", "alpha"],
 }
 
@@ -134,6 +125,8 @@ def _ladder(function, method, h0, levels):
 # parameter, call, value at the bound, value just past it) on [0, 1].  A
 # ladder halves its step, so its finest grid has an even number of panels.
 _SIZE_CASES = [
+    ("UniformGrid", "node_count", lambda n: cf.UniformGrid(0.1, n, 1.0),
+     MAX_NODES, MAX_NODES + 1),
     ("caputo_weights", "n", lambda n: cf.caputo_weights(n, 0.5),
      MAX_NODES - 1, MAX_NODES),
     ("rectangle_weights", "n", lambda n: cf.rectangle_weights(n, 0.5),
@@ -175,16 +168,15 @@ _SIZE_CASES = [
 # parameters with a size-like name that set no size: the work does not
 # grow with them
 _NOT_SIZES = {
-    ("integrate_rectangle", "h"): "a scale; the work is one weight per sample",
+    ("ErrorReport", "node_count"): "a field of a finished report; it builds nothing",
     ("integrate_trapezoid", "h"): "a scale; the work is one weight per sample",
-    ("trapezoid_tail_coefficient", "n"): "one coefficient index, O(1) work",
 }
 
 
 def test_every_size_parameter_has_a_bound_case():
     sizes = {(name, parameter) for name, parameters in PUBLIC_PARAMETERS.items()
              for parameter in parameters or ()
-             if parameter in ("n", "h", "h0", "levels")}
+             if parameter in ("n", "h", "h0", "levels", "node_count")}
     cases = {(name, parameter) for name, parameter, *_ in _SIZE_CASES}
     assert sizes == cases | set(_NOT_SIZES)
     assert not cases & set(_NOT_SIZES)
@@ -212,6 +204,20 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_dotted_references_resolve():
+    # every backticked ``confrac.<module>.<name>`` path in README.md names
+    # a real module or attribute
+    paths = sorted(set(re.findall(r"`(confrac(?:\.\w+)+)", README.read_text())))
+    assert paths
+    unresolved = []
+    for path in paths:
+        try:
+            pkgutil.resolve_name(path)
+        except (ImportError, AttributeError):
+            unresolved.append(path)
+    assert unresolved == []
 
 
 def test_readme_cli_commands_run(tmp_path, monkeypatch):

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 import confrac as cf
 from confrac import quadrature
 from confrac.core import MAX_NODES, MIN_ORDER
-from confrac.errors import AlphaRangeError, DomainError, GridError
+from confrac.errors import AlphaRangeError, GridError
 from confrac.quadrature import _coefficient_block, coefficient_tables, product_scales
 
 mp.mp.dps = 50
@@ -48,13 +47,14 @@ def test_trapezoid_weights_half_order():
 
 def test_tail_coefficient_first_panel_equals_alpha():
     for a in ALPHAS:
-        assert cf.trapezoid_tail_coefficient(0, a) == pytest.approx(a, rel=1e-14)
+        tail = quadrature.trapezoid_tail_coefficient(0, a)
+        assert tail == pytest.approx(a, rel=1e-14)
 
 
 @pytest.mark.parametrize("a", (MIN_ORDER, 0.05, 0.5, 1.0))
 def test_trapezoid_entry_zero_is_one(a):
     # the second difference with the power at index -1 read as 0
-    assert cf.trapezoid_coefficient(0, a) == 1.0
+    assert quadrature.trapezoid_coefficient(0, a) == 1.0
     assert coefficient_tables(3, a)[1][0] == 1.0
 
 
@@ -69,11 +69,11 @@ def test_interior_coefficients_do_not_depend_on_panel_count():
 @pytest.mark.parametrize("bad_index", [-1, -5])
 def test_negative_indices_rejected(bad_index):
     with pytest.raises(ValueError):
-        cf.rectangle_coefficient(bad_index, 0.5)
+        quadrature.rectangle_coefficient(bad_index, 0.5)
     with pytest.raises(ValueError):
-        cf.trapezoid_coefficient(bad_index, 0.5)
+        quadrature.trapezoid_coefficient(bad_index, 0.5)
     with pytest.raises(ValueError):
-        cf.trapezoid_tail_coefficient(bad_index, 0.5)
+        quadrature.trapezoid_tail_coefficient(bad_index, 0.5)
 
 
 # ---------------------------------------------------------------- sum identities
@@ -104,9 +104,9 @@ def test_weight_sum_identity_property(a, n):
     j=st.integers(min_value=1, max_value=100000),
 )
 def test_coefficients_are_positive(a, j):
-    assert cf.rectangle_coefficient(j, a) > 0.0
-    assert cf.trapezoid_coefficient(j, a) > 0.0
-    assert cf.trapezoid_tail_coefficient(j, a) > 0.0
+    assert quadrature.rectangle_coefficient(j, a) > 0.0
+    assert quadrature.trapezoid_coefficient(j, a) > 0.0
+    assert quadrature.trapezoid_tail_coefficient(j, a) > 0.0
 
 
 # ---------------------------------------------------------------- extended-precision oracle
@@ -137,9 +137,9 @@ def test_coefficients_match_extended_precision(a):
     # indices straddle the naive/series switchover at 128
     for j in (1, 2, 10, 100, 126, 127, 128, 129, 500, 1000, 10000, 100000):
         for ours, reference in (
-            (cf.rectangle_coefficient(j, a), _rect_mp(j, a)),
-            (cf.trapezoid_coefficient(j, a), _trap_mp(j, a)),
-            (cf.trapezoid_tail_coefficient(j, a), _tail_mp(j, a)),
+            (quadrature.rectangle_coefficient(j, a), _rect_mp(j, a)),
+            (quadrature.trapezoid_coefficient(j, a), _trap_mp(j, a)),
+            (quadrature.trapezoid_tail_coefficient(j, a), _tail_mp(j, a)),
         ):
             rel = abs((mp.mpf(ours) - reference) / reference)
             assert rel < 1e-9, (a, j, ours)
@@ -152,8 +152,8 @@ def test_series_coefficients_match_extended_precision_at_tiny_orders(a):
     for j in (128, 129, 1000, 100_000, 10**7 - 1):
         _, trap, tail = _coefficient_block(j, j + 1, a)
         for ours, reference in (
-            (cf.trapezoid_coefficient(j, a), _trap_mp(j, a)),
-            (cf.trapezoid_tail_coefficient(j, a), _tail_mp(j, a)),
+            (quadrature.trapezoid_coefficient(j, a), _trap_mp(j, a)),
+            (quadrature.trapezoid_tail_coefficient(j, a), _tail_mp(j, a)),
             (float(trap[0]), _trap_mp(j, a)),
             (float(tail[0]), _tail_mp(j, a)),
         ):
@@ -166,11 +166,10 @@ def test_coefficient_tables_match_scalar_functions(a):
     n = 100_001
     rect, trap, tail = coefficient_tables(n, a)
     indices = range(n + 1)
-    assert np.array_equal(rect, [cf.rectangle_coefficient(j, a) for j in indices])
-    assert np.array_equal(trap, [cf.trapezoid_coefficient(j, a) for j in indices])
-    assert np.array_equal(
-        tail, [cf.trapezoid_tail_coefficient(j, a) for j in indices]
-    )
+    for table, scalar in ((rect, quadrature.rectangle_coefficient),
+                          (trap, quadrature.trapezoid_coefficient),
+                          (tail, quadrature.trapezoid_tail_coefficient)):
+        assert np.array_equal(table, [scalar(j, a) for j in indices])
 
 
 #: block edges around the series switchover (128) and the conformable
@@ -238,7 +237,7 @@ def test_series_path_agrees_with_naive_at_switchover():
         beta = a + 1.0
         for j in (128, 129, 200):
             naive = (j - 1.0) ** beta - 2.0 * float(j) ** beta + (j + 1.0) ** beta
-            ours = cf.trapezoid_coefficient(j, a)
+            ours = quadrature.trapezoid_coefficient(j, a)
             assert ours == pytest.approx(naive, rel=1e-9)
 
 
@@ -258,26 +257,32 @@ def test_weight_scales():
     # orders so small that h**a / a would overflow are refused as orders
     for tiny in (5e-324, 1e-310):
         with pytest.raises(AlphaRangeError):
-            cf.integrate_rectangle([1.0, 1.0], 0.1, tiny)
+            cf.integrate_trapezoid([1.0, 1.0], 0.1, tiny)
 
 
 # ---------------------------------------------------------------- integration
 
 
+def _integrate_rectangle(samples, h, a):
+    """Rectangle-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n."""
+    return product_scales(a, h)[0] * np.dot(
+        cf.rectangle_weights(len(samples) - 1, a), samples)
+
+
 def test_integrate_rectangle_constant_exact():
     for n in (0, 5, 40):
         h = 1.0 / (n + 1)
-        got = cf.integrate_rectangle([3.0] * (n + 1), h, 0.5)
+        got = _integrate_rectangle([3.0] * (n + 1), h, 0.5)
         assert got == pytest.approx(3.0 * 1.0**0.5 / 0.5, rel=1e-13)
 
 
 def test_integrate_rectangle_classical_left_sum():
     samples = [0.0, 0.25, 0.5, 0.75]
-    assert cf.integrate_rectangle(samples, 0.25, 1.0) == pytest.approx(0.375)
+    assert _integrate_rectangle(samples, 0.25, 1.0) == pytest.approx(0.375)
 
 
 def test_integrate_rectangle_single_panel():
-    got = cf.integrate_rectangle([4.0], 0.5, 0.5)
+    got = _integrate_rectangle([4.0], 0.5, 0.5)
     assert got == pytest.approx(4.0 * 0.5**0.5 / 0.5, rel=1e-14)
 
 
@@ -297,42 +302,9 @@ def test_integrate_trapezoid_classical_quadratic():
 
 def test_integrate_rejects_mismatched_weights():
     with pytest.raises(ValueError):
-        cf.integrate_rectangle([], 0.1, 0.5)  # no node at all
+        cf.integrate_trapezoid([], 0.1, 0.5)  # no node at all
     with pytest.raises(ValueError):
-        cf.integrate_trapezoid([], 0.1, 0.5)
+        cf.integrate_trapezoid([[1.0, 2.0]], 0.1, 0.5)  # not 1-d
     with pytest.raises(ValueError):
         cf.integrate_trapezoid([1.0], 0.1, 0.5)  # single sample has no panel
 
-
-# ---------------------------------------------------------------- gamma
-
-
-def test_gamma_exact_points():
-    assert cf.gamma(1.0) == 1.0
-    assert cf.gamma(5.0) == 24.0
-    assert cf.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("nan")])
-def test_gamma_rejects_non_positive(bad):
-    with pytest.raises(DomainError):
-        cf.gamma(bad)
-
-
-def test_gamma_recurrence():
-    for x in np.linspace(0.1, 9.0, 45):
-        assert cf.gamma(x + 1.0) == pytest.approx(x * cf.gamma(float(x)), rel=1e-12)
-
-
-def test_gamma_against_extended_precision():
-    for x in np.linspace(0.05, 10.0, 40):
-        reference = mp.gamma(mp.mpf(float(x)))
-        rel = abs((mp.mpf(cf.gamma(float(x))) - reference) / reference)
-        assert rel < 1e-14
-
-
-def test_gamma_against_integral_definition():
-    # independent route: numerically integrate t^(x-1) e^-t
-    for x in (0.5, 1.5, 2.5, 5.0):
-        reference, _ = quad(lambda t: t ** (x - 1) * math.exp(-t), 0, np.inf)
-        assert cf.gamma(x) == pytest.approx(reference, rel=1e-8)

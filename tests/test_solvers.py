@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ def test_caputo_weights_collapse_at_order_one(n):
 def test_caputo_weights_head_matches_closing_coefficient():
     for n in (0, 1, 7, 40):
         _, corrector = cf.caputo_weights(n, 0.5)
-        assert corrector[0] == cf.trapezoid_tail_coefficient(n, 0.5)
+        assert corrector[0] == cf.quadrature.trapezoid_tail_coefficient(n, 0.5)
         assert corrector[-1] == 1.0
     with pytest.raises(ValueError):
         cf.caputo_weights(-1, 0.5)
@@ -210,7 +212,7 @@ def _abm_oracle(problem, h):
         predicted = y0 + predictor_scale * float(
             np.dot(predictor_w[panels - n:], slopes[:n + 1])
         )
-        head = cf.trapezoid_tail_coefficient(n, a) * slopes[0] + float(
+        head = cf.quadrature.trapezoid_tail_coefficient(n, a) * slopes[0] + float(
             np.dot(corrector_w[panels + 1 - n:panels + 1], slopes[1:n + 1])
         )
         corrected = y0 + corrector_scale * (
@@ -400,6 +402,63 @@ def test_caputo_alpha_one_matches_classical_for_time_only_rhs():
     caputo = cf.solve_caputo_pc(_ivp(rhs, 0.0, 2.0, 1.0), 0.01)
     classical = cf.solve_classical_pc(_ivp(rhs, 0.0, 2.0, 1.0), 0.01)
     assert float(np.max(np.abs(caputo.values - classical.values))) < 1e-13
+
+
+
+def _kilbas_saigo(t, a):
+    """``sum c_k t**(k (1+a))``, ``c_0 = 1``, ``c_k = c_(k-1) Gamma((k-1)(1+a) + 2)
+    / Gamma(k (1+a) + 1)``: the solution of ``D^a y = t y``, ``y(0) = 1``."""
+    t, a = mp.mpf(t), mp.mpf(a)
+    total = coefficient = mp.mpf(1)
+    for k in itertools.count(1):
+        coefficient *= mp.gamma((k - 1) * (1 + a) + 2) / mp.gamma(k * (1 + a) + 1)
+        term = coefficient * t ** (k * (1 + a))
+        total += term
+        if term < mp.eps * total:
+            return total
+
+
+def _mittag_leffler(t, a):
+    """``E_a(t**a) = sum t**(a k) / Gamma(a k + 1)``: the solution of
+    ``D^a y = y``, ``y(0) = 1``."""
+    t, a = mp.mpf(t), mp.mpf(a)
+    total = mp.mpf(1)
+    for k in itertools.count(1):
+        term = t ** (a * k) / mp.gamma(a * k + 1)
+        total += term
+        if term < mp.eps * total:
+            return total
+
+
+def test_caputo_solution_series_reduce_to_exponentials_at_order_one():
+    with mp.workdps(50):
+        assert abs(_kilbas_saigo(2, 1) - mp.exp(2)) < mp.mpf(10) ** -45
+        assert abs(_mittag_leffler(2, 1) - mp.exp(2)) < mp.mpf(10) ** -45
+
+
+# the Caputo solutions at t = 2, a = 0.5, and the solver's endpoint errors at
+# 1,001, 10,001 and 100,001 nodes
+_CAPUTO_LADDERS = [
+    ("example1", _kilbas_saigo, 39.98975208007449, (4.726e-2, 1.541e-3, 4.917e-5)),
+    ("expkernel", _mittag_leffler, 14.44190819541496, (2.738e-3, 8.781e-5, 2.789e-6)),
+]
+
+
+@pytest.mark.parametrize("problem_id,series,exact,errors", _CAPUTO_LADDERS,
+                         ids=[case[0] for case in _CAPUTO_LADDERS])
+def test_caputo_errors_against_caputo_solutions(problem_id, series, exact, errors):
+    # the order per decade of nodes rises towards 1 + a (Diethelm, Ford &
+    # Freed, Numer. Algorithms 36, 2004): 1.487 and 1.496 on example1,
+    # 1.494 and 1.498 on expkernel
+    with mp.workdps(50):
+        reference = float(series(2, 0.5))
+    assert reference == pytest.approx(exact, rel=1e-15)
+    problem = cf.get_problem(problem_id).problem(0.5, 2.0)
+    got = [abs(cf.solve_caputo_pc(problem, 2 / panels).endpoint - reference)
+           for panels in (1_000, 10_000, 100_000)]
+    assert got == pytest.approx(errors, rel=1e-3)
+    orders = [math.log10(coarse / fine) for coarse, fine in zip(got, got[1:])]
+    assert all(1.48 < order < 1.5 for order in orders), orders
 
 
 # ---------------------------------------------------------------- guards and plumbing
