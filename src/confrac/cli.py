@@ -130,23 +130,20 @@ def _write_points(fh, grid: UniformGrid, values: np.ndarray, px, py) -> None:
 def write_svg(
     grid: UniformGrid,
     values: np.ndarray,
-    markers: np.ndarray,
+    markers: Sequence[tuple[float, float]],
     path: str,
 ) -> None:
     """Render a solution column as a static 800x600 SVG.
 
     ``values`` at the nodes of ``grid`` is drawn as a polyline;
-    ``markers``, the exact solution at every ``_MARKER_STRIDE``-th node,
-    appears as hollow circles, matching the sparse-marker figure style.
-    Markers and axes are computed first; the polyline's node times and
-    pixels are then computed and written one block of nodes at a time
+    ``markers``, ``(t, y)`` points of the exact solution, appear as hollow
+    circles, matching the sparse-marker figure style.  Markers and axes
+    are computed first; the polyline's node times and pixels are then
+    computed and written one block of nodes at a time
     (:func:`~confrac.problems._node_blocks`), so no array, list or string
     as long as the grid is built.
     """
-    marker_ys = markers.tolist()
-    marker_points = list(zip(
-        (grid.node(j) for j in range(0, grid.node_count, _MARKER_STRIDE)),
-        marker_ys))
+    marker_ys = [y for _, y in markers]
     x_lo, x_hi = grid.node(0), grid.node(grid.panel_count)
     y_lo = min([float(values.min())] + marker_ys)
     y_hi = max([float(values.max())] + marker_ys)
@@ -207,7 +204,7 @@ def write_svg(
 
     # everything after the polyline, which is streamed to the file in between
     tail = []
-    for t, v in marker_points:
+    for t, v in markers:
         tail.append(
             f'<circle cx="{px(t):.2f}" cy="{py(v):.2f}" r="4" fill="none" '
             f'stroke="{_MARKER_COLOR}" stroke-width="1.2"/>'
@@ -287,9 +284,8 @@ def cmd_solve(
     grid, values = trace.grid, trace.values
     del trace
     if format == "svg":
-        nodes = range(0, grid.node_count, _MARKER_STRIDE)
-        markers = np.fromiter((named.exact(grid.node(j), alpha) for j in nodes),
-                              float, len(nodes))
+        times = map(grid.node, range(0, grid.node_count, _MARKER_STRIDE))
+        markers = [(t, named.exact(t, alpha)) for t in times]
         write_svg(grid, values, markers, output)
         return EXIT_OK
     blocks = _row_blocks(grid, values, _exact_column(named.exact, alpha, grid))

@@ -63,13 +63,11 @@ def as_alpha(alpha: AlphaLike) -> Alpha:
 class UniformGrid:
     """Nodes ``t_j = j * step`` for ``j = 0 .. node_count - 1``.
 
-    The last node coincides with ``horizon`` up to the relative slack used
-    by :func:`make_grid`.  Holds at most ``MAX_NODES`` nodes.
+    Holds at most ``MAX_NODES`` nodes; the step is positive and finite.
     """
 
     step: float
     node_count: int
-    horizon: float
 
     def __post_init__(self):
         if self.node_count < 2:
@@ -78,8 +76,8 @@ class UniformGrid:
             raise GridError(
                 f"grid holds at most {MAX_NODES} nodes, got {self.node_count}"
             )
-        if not self.step > 0.0:
-            raise GridError(f"step must be positive, got {self.step!r}")
+        if not 0.0 < self.step < math.inf:
+            raise GridError(f"step must be positive and finite, got {self.step!r}")
 
     @property
     def panel_count(self) -> int:
@@ -118,7 +116,7 @@ def make_grid(tau: float, h: float) -> UniformGrid:
             f"step {h!r} does not divide horizon {tau!r} into a whole "
             f"number of panels"
         )
-    return UniformGrid(step=h, node_count=panels + 1, horizon=tau)
+    return UniformGrid(step=h, node_count=panels + 1)
 
 
 def conformable_derivative_numeric(

@@ -128,9 +128,6 @@ class SolutionTrace:
             )
         object.__setattr__(self, "predictors", preds)
 
-    def times(self) -> np.ndarray:
-        return self.grid.nodes()
-
     @property
     def endpoint(self) -> float:
         return float(self.values[-1])

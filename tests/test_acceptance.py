@@ -111,7 +111,7 @@ def test_criterion_04_constant_slope_solver_exactness():
             order=cf.Alpha(a),
         )
         trace = cf.solve_conformable_pc(problem, 0.01)
-        t = trace.times()
+        t = trace.grid.nodes()
         want = 1.25 + 2.5 * t**a / a
         worst = max(worst, float(np.max(np.abs(trace.values - want)
                                         / np.abs(want))))
@@ -129,7 +129,7 @@ def _trace_against_exact(pid, alpha, tau):
     start = time.perf_counter()
     trace = cf.solve_named(named, "conformable", alpha, 0.001, horizon=tau)
     elapsed = time.perf_counter() - start
-    exact = np.array([named.exact(t, alpha) for t in trace.times()])
+    exact = np.array([named.exact(t, alpha) for t in trace.grid.nodes()])
     err = float(np.max(np.abs(trace.values - exact)))
     threshold = 0.005 * float(exact.max() - exact.min())
     return err, threshold, elapsed
@@ -220,7 +220,7 @@ _UNIT_SOURCE = cf.NamedProblem(
 
 def test_criterion_10a_caputo_baseline_matches_closed_form():
     trace = cf.solve_caputo_pc(_UNIT_SOURCE.caputo_problem(0.5, 1.0), 0.02)
-    t = trace.times()
+    t = trace.grid.nodes()
     want = 2.0 * np.sqrt(t / math.pi)
     err = float(np.max(np.abs(trace.values - want)))
     ok = err <= 1e-12

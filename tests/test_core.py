@@ -64,6 +64,12 @@ def test_make_grid_rejects_degenerate_inputs(tau, h):
         cf.make_grid(tau, h)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+def test_uniform_grid_rejects_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(GridError, match="step must be positive and finite"):
+        cf.UniformGrid(step, 3)
+
+
 def test_halving_preserves_commensurability():
     for level in range(6):
         grid = cf.make_grid(2.0, 0.04 / 2**level)

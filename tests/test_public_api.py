@@ -58,15 +58,14 @@ PUBLIC_PARAMETERS = {
     "BlowUpError": ["step_index", "value", "t", "last_value"],
     "ConfracError": None,
     "DomainError": None,
-    "ErrorReport": ["max_abs_error", "endpoint_abs_error", "endpoint_rel_error",
-                    "node_count"],
+    "ErrorReport": ["max_abs_error", "endpoint_abs_error", "endpoint_rel_error"],
     "GridError": None,
     "InitialValueProblem": ["rhs", "y0", "horizon", "order"],
     "NamedProblem": ["id", "description", "equation", "solution", "y0", "family",
                      "exact", "domain_limit", "domain_note"],
     "OrderUndefinedError": None,
     "SolutionTrace": ["grid", "values", "predictors", "method"],
-    "UniformGrid": ["step", "node_count", "horizon"],
+    "UniformGrid": ["step", "node_count"],
     "builtin_problems": [],
     "caputo_weights": ["n", "alpha"],
     "conformable_derivative_numeric": ["g", "t", "alpha", "delta"],
@@ -86,6 +85,17 @@ PUBLIC_PARAMETERS = {
     "trapezoid_weights": ["n", "alpha"],
 }
 
+# The public members of every public class other than the errors, past its
+# dataclass fields (pinned above as its parameters): methods and properties.
+PUBLIC_MEMBERS = {
+    "Alpha": [],
+    "ErrorReport": [],
+    "InitialValueProblem": [],
+    "NamedProblem": ["caputo_problem", "default_horizon", "problem"],
+    "SolutionTrace": ["endpoint"],
+    "UniformGrid": ["node", "nodes", "panel_count"],
+}
+
 
 def _parameters(obj):
     try:
@@ -103,6 +113,16 @@ def test_public_parameters_are_pinned():
     callables = {name: getattr(cf, name) for name in cf.__all__}
     assert {name: _parameters(obj) for name, obj in callables.items()
             if callable(obj)} == PUBLIC_PARAMETERS
+
+
+def test_public_members_are_pinned():
+    classes = {name: getattr(cf, name) for name in cf.__all__}
+    classes = {name: cls for name, cls in classes.items()
+               if isinstance(cls, type) and not issubclass(cls, Exception)}
+    assert {name: sorted(member for member in vars(cls)
+                         if not member.startswith("_")
+                         and member not in cls.__dataclass_fields__)
+            for name, cls in classes.items()} == PUBLIC_MEMBERS
 
 
 class _Reached(Exception):
@@ -125,7 +145,7 @@ def _ladder(function, method, h0, levels):
 # parameter, call, value at the bound, value just past it) on [0, 1].  A
 # ladder halves its step, so its finest grid has an even number of panels.
 _SIZE_CASES = [
-    ("UniformGrid", "node_count", lambda n: cf.UniformGrid(0.1, n, 1.0),
+    ("UniformGrid", "node_count", lambda n: cf.UniformGrid(0.1, n),
      MAX_NODES, MAX_NODES + 1),
     ("caputo_weights", "n", lambda n: cf.caputo_weights(n, 0.5),
      MAX_NODES - 1, MAX_NODES),
@@ -168,7 +188,6 @@ _SIZE_CASES = [
 # parameters with a size-like name that set no size: the work does not
 # grow with them
 _NOT_SIZES = {
-    ("ErrorReport", "node_count"): "a field of a finished report; it builds nothing",
     ("integrate_trapezoid", "h"): "a scale; the work is one weight per sample",
 }
 

@@ -29,7 +29,7 @@ def test_classical_zero_rhs_stays_constant():
 def test_classical_constant_rhs_reproduces_time():
     # binary-friendly step keeps the accumulation exact
     trace = cf.solve_classical_pc(_ivp(lambda t, y: 1.0, 0.0, 2.0, 1.0), 0.25)
-    assert np.array_equal(trace.values, trace.times())
+    assert np.array_equal(trace.values, trace.grid.nodes())
 
 
 def test_classical_endpoint_second_order():
@@ -51,7 +51,7 @@ def test_conformable_constant_rhs_exact(a):
     # where relative error would just amplify rounding
     c, y0 = -1.75, 8.0
     trace = cf.solve_conformable_pc(_ivp(lambda t, y: c, y0, 2.0, a), 0.01)
-    t = trace.times()
+    t = trace.grid.nodes()
     expected = y0 + c * t**a / a
     rel = np.abs(trace.values - expected) / np.maximum(np.abs(expected), 1e-30)
     assert float(rel.max()) < 1e-12
@@ -64,7 +64,7 @@ def test_conformable_time_linear_rhs_exact(a):
     trace = cf.solve_conformable_pc(
         _ivp(lambda t, y: 2.0 - 3.0 * t, y0, 2.0, a), 0.01
     )
-    t = trace.times()
+    t = trace.grid.nodes()
     expected = y0 + 2.0 * t**a / a - 3.0 * t ** (a + 1) / (a + 1)
     rel = np.abs(trace.values - expected) / np.maximum(np.abs(expected), 1e-30)
     assert float(rel.max()) < 1e-12
@@ -94,7 +94,7 @@ def test_conformable_incremental_matches_direct_summation():
     slow = cf.solve_conformable_pc_direct(problem, 0.002)
     rel = np.abs(fast.values - slow.values) / np.maximum(np.abs(slow.values), 1e-30)
     assert float(rel.max()) < 1e-12
-    assert np.array_equal(fast.times(), slow.times())
+    assert np.array_equal(fast.grid.nodes(), slow.grid.nodes())
 
 
 def test_conformable_blocks_match_direct_summation(monkeypatch):
@@ -169,7 +169,7 @@ def test_caputo_zero_rhs_stays_constant():
 def test_caputo_constant_rhs_matches_power_law():
     # D^0.5 y = 1, y(0) = 0 has solution 2*sqrt(t/pi)
     trace = cf.solve_caputo_pc(_ivp(lambda t, y: 1.0, 0.0, 1.0, 0.5), 0.01)
-    t = trace.times()
+    t = trace.grid.nodes()
     expected = 2.0 * np.sqrt(t / math.pi)
     assert float(np.max(np.abs(trace.values - expected))) < 1e-12
 
@@ -459,6 +459,29 @@ def test_caputo_errors_against_caputo_solutions(problem_id, series, exact, error
     assert got == pytest.approx(errors, rel=1e-3)
     orders = [math.log10(coarse / fine) for coarse, fine in zip(got, got[1:])]
     assert all(1.48 < order < 1.5 for order in orders), orders
+
+
+def test_caputo_solve_at_the_node_ceiling():
+    # one solve of CAPUTO_MAX_NODES nodes: its endpoint error keeps the order
+    # per decade from the 100,001-node level (1.499), and its predictors stay
+    # within the oracle gap of the history sums taken with math.fsum, at
+    # nodes in the first chunks, far out and next to the end
+    nodes = cf.solvers.CAPUTO_MAX_NODES
+    problem = cf.get_problem("example1").problem(0.5, 2.0)
+    h = 2 / (nodes - 1)
+    trace = cf.solve_caputo_pc(problem, h)
+    assert trace.grid.node_count == nodes
+    with mp.workdps(50):
+        reference = float(_kilbas_saigo(2, 0.5))
+    error = abs(trace.endpoint - reference)
+    assert error == pytest.approx(1.559e-6, rel=1e-3)
+    assert 1.48 < math.log10(_CAPUTO_LADDERS[0][3][-1] / error) < 1.5
+    rect = cf.quadrature.coefficient_tables(trace.grid.panel_count, 0.5)[0]
+    slopes = problem.rhs(trace.grid.nodes(), trace.values)
+    scale = h**0.5 / math.gamma(1.5)
+    for n in (2_049, 4_097, 131_073, 500_001, 777_777, 999_999):
+        predicted = problem.y0 + scale * math.fsum(rect[n - 1::-1] * slopes[:n])
+        assert abs(trace.predictors[n - 1] - predicted) <= _RECURSION_GAP * predicted
 
 
 # ---------------------------------------------------------------- guards and plumbing
