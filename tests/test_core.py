@@ -98,9 +98,9 @@ def test_derivative_kernel_eigenfunction():
     assert got == pytest.approx(g(1.0), abs=1e-6)
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.inf])
 def test_derivative_requires_positive_t(t):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="finite t > 0"):
         cf.conformable_derivative_numeric(lambda s: s, t, 0.5)
 
 
@@ -160,5 +160,8 @@ def test_integral_rejects_negative_panel_count():
 
 def test_integral_rejects_non_finite_samples():
     bad = lambda x: math.inf if x == 0.0 else 1.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="non-finite sample"):
         cf.conformable_integral_numeric(bad, 1.0, 0.5, 4)
+    for samples in ([1.0, math.inf], [1.0, math.nan, 2.0], [-math.inf, 1.0]):
+        with pytest.raises(DomainError, match="non-finite sample"):
+            cf.integrate_trapezoid(samples, 0.1, 0.5)

@@ -110,8 +110,9 @@ def test_default_horizons():
 
 def test_exact_solutions_reject_negative_time():
     for pid in ("expkernel", "example1", "example2", "example3"):
-        with pytest.raises(DomainError):
-            cf.get_problem(pid).exact(-0.1, 0.5)
+        for t in (-0.1, math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite t >= 0"):
+                cf.get_problem(pid).exact(t, 0.5)
 
 
 @pytest.mark.parametrize("named", cf.builtin_problems(), ids=lambda n: n.id)

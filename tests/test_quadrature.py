@@ -172,9 +172,11 @@ def test_coefficient_tables_match_scalar_functions(a):
         assert np.array_equal(table, [scalar(j, a) for j in indices])
 
 
-#: block edges around the series switchover (128) and the conformable
-#: solver's block length (4096)
-_BLOCK_EDGES = (0, 1, 127, 128, 129, 4095, 4096, 4097, 8193)
+#: block edges around the series switchover (128), the conformable
+#: solver's block length (1,024) and the block length of
+#: coefficient_tables (4,096)
+_BLOCK_EDGES = (0, 1, 127, 128, 129, 1023, 1024, 1025, 2049,
+                4095, 4096, 4097, 8193)
 
 
 @pytest.mark.parametrize("a", (0.3, 0.5, 0.9, 1.0))
