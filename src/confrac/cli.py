@@ -114,17 +114,18 @@ def _nice_ticks(lo: float, hi: float) -> list[tuple[float, str]]:
 def _write_points(fh, grid: UniformGrid, values: np.ndarray, px, py) -> None:
     """Write the polyline's ``x,y`` pixel pairs, one block of nodes at a time.
 
-    Kept apart from :func:`write_svg`: under tracemalloc an allocation costs
-    time in proportion to the allocating function's length, and this loop
-    makes several per point.
+    Each block is formatted with one ``%`` over its interleaved pixel
+    coordinates, the template sized to the block.  Kept apart from
+    :func:`write_svg`: under tracemalloc an allocation costs time in
+    proportion to the allocating function's length, and this loop makes
+    several per point.
     """
-    point = "%.2f,%.2f".__mod__
     for lo, times in _node_blocks(grid):
-        xs = px(times).tolist()
-        ys = py(values[lo:lo + len(times)]).tolist()
+        n = len(times)
+        pairs = np.column_stack((px(times), py(values[lo:lo + n]))).ravel()
         if lo:
             fh.write(" ")
-        fh.write(" ".join(map(point, zip(xs, ys))))
+        fh.write(" ".join(["%.2f,%.2f"] * n) % tuple(pairs.tolist()))
 
 
 def write_svg(

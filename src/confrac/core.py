@@ -11,6 +11,7 @@ grid (see :mod:`confrac.quadrature`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -63,13 +64,20 @@ def as_alpha(alpha: AlphaLike) -> Alpha:
 class UniformGrid:
     """Nodes ``t_j = j * step`` for ``j = 0 .. node_count - 1``.
 
-    Holds at most ``MAX_NODES`` nodes; the step is positive and finite.
+    Holds at most ``MAX_NODES`` nodes, a whole number of them (any integer
+    ``operator.index`` accepts); the step is positive and finite.
     """
 
     step: float
     node_count: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "node_count", operator.index(self.node_count))
+        except TypeError:
+            raise GridError(
+                f"node count must be an integer, got {self.node_count!r}"
+            ) from None
         if self.node_count < 2:
             raise GridError(f"grid needs at least two nodes, got {self.node_count}")
         if self.node_count > MAX_NODES:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import GRID_RTOL, Alpha, AlphaLike, UniformGrid, as_alpha
-from .errors import DomainError, OrderUndefinedError
+from .errors import DomainError, GridError, OrderUndefinedError
 from .solvers import (
     InitialValueProblem,
     SolutionTrace,
@@ -44,62 +44,41 @@ METHODS = ("classical", "conformable", "caputo")
 _CHUNK = 1024
 
 
-def _checked_time(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t < math.inf:  # False for NaN as well
-        raise DomainError(
-            f"exact solutions are defined for finite t >= 0, got {t!r}"
-        )
-    return t
-
-
-def exact_expkernel(t: float, alpha: AlphaLike) -> float:
-    """exp(t**a / a), the eigenfunction of the conformable derivative."""
-    a = as_alpha(alpha).value
-    t = _checked_time(t)
-    try:
-        return math.exp(t**a / a)
-    except OverflowError:
-        raise DomainError(
-            f"exp(t**a / a) overflows at t = {t!r}, order {a!r}"
-        ) from None
-
-
-def exact_example1(t: float, alpha: AlphaLike) -> float:
-    """exp(t**(a+1) / (a+1)), closed form for the linearly forced problem."""
-    a = as_alpha(alpha).value
-    t = _checked_time(t)
-    try:
-        return math.exp(t ** (a + 1.0) / (a + 1.0))
-    except OverflowError:
-        raise DomainError(
-            f"exp(t**(a+1) / (a+1)) overflows at t = {t!r}, order {a!r}"
-        ) from None
-
-
 def example2_domain_limit(alpha: AlphaLike) -> float:
     """Horizon (a*pi/2)**(1/a) where tan(t**a / a) first diverges."""
     a = as_alpha(alpha).value
     return (a * math.pi / 2.0) ** (1.0 / a)
 
 
-def exact_example2(t: float, alpha: AlphaLike) -> float:
-    """tan(t**a / a); only defined left of the vertical asymptote."""
-    a = as_alpha(alpha).value
-    t = _checked_time(t)
-    limit = example2_domain_limit(a)
-    if t >= limit:
-        raise DomainError(
-            f"t = {t!r} lies at or beyond the asymptote t = {limit:.6g}"
-        )
-    return math.tan(t**a / a)
+def _closed_form(
+    text: str,
+    formula: Callable[[float, float], float],
+    limit: Callable[[float], float] | None = None,
+) -> Callable[[float, AlphaLike], float]:
+    """The checked ``exact(t, alpha)`` of the closed form ``formula(t, a)``.
 
+    ``exact`` refuses a negative, infinite or NaN ``t``, and ``t >= limit(a)``
+    when ``limit`` is given; a value past the float range raises
+    :class:`DomainError` naming ``text``, never ``OverflowError``.
+    """
 
-def exact_example3(t: float, alpha: AlphaLike) -> float:
-    """1 / (1 + t**a), closed form for the quadratic-decay problem."""
-    a = as_alpha(alpha).value
-    t = _checked_time(t)
-    return 1.0 / (1.0 + t**a)
+    def exact(t: float, alpha: AlphaLike) -> float:
+        a = as_alpha(alpha).value
+        t = float(t)
+        if not 0.0 <= t < math.inf:  # False for NaN as well
+            raise DomainError(
+                f"exact solutions are defined for finite t >= 0, got {t!r}"
+            )
+        if limit is not None and t >= (edge := limit(a)):
+            raise DomainError(
+                f"t = {t!r} lies at or beyond the asymptote t = {edge:.6g}"
+            )
+        try:
+            return formula(t, a)
+        except OverflowError:
+            raise DomainError(f"{text} overflows at t = {t!r}, order {a!r}") from None
+
+    return exact
 
 
 @dataclass(frozen=True)
@@ -183,7 +162,7 @@ _REGISTRY: tuple[NamedProblem, ...] = (
         solution="y(t) = exp(t^a/a)",
         y0=1.0,
         family=lambda t, y, a: y,
-        exact=exact_expkernel,
+        exact=_closed_form("exp(t**a / a)", lambda t, a: math.exp(t**a / a)),
     ),
     NamedProblem(
         id="example1",
@@ -192,7 +171,8 @@ _REGISTRY: tuple[NamedProblem, ...] = (
         solution="y(t) = exp(t^(a+1)/(a+1))",
         y0=1.0,
         family=lambda t, y, a: t * y,
-        exact=exact_example1,
+        exact=_closed_form("exp(t**(a+1) / (a+1))",
+                           lambda t, a: math.exp(t ** (a + 1.0) / (a + 1.0))),
     ),
     NamedProblem(
         id="example2",
@@ -201,7 +181,8 @@ _REGISTRY: tuple[NamedProblem, ...] = (
         solution="y(t) = tan(t^a/a)",
         y0=0.0,
         family=lambda t, y, a: 1.0 + y * y,
-        exact=exact_example2,
+        exact=_closed_form("tan(t**a / a)", lambda t, a: math.tan(t**a / a),
+                           example2_domain_limit),
         domain_limit=example2_domain_limit,
         domain_note="domain limit (a*pi/2)^(1/a)",
     ),
@@ -212,7 +193,7 @@ _REGISTRY: tuple[NamedProblem, ...] = (
         solution="y(t) = 1/(1 + t^a)",
         y0=1.0,
         family=lambda t, y, a: -a * y * y,
-        exact=exact_example3,
+        exact=_closed_form("1 / (1 + t**a)", lambda t, a: 1.0 / (1.0 + t**a)),
     ),
 )
 
@@ -350,7 +331,12 @@ def refinement_errors(
         raise ValueError(f"problem {named.id!r} has no exact solution")
     alpha = as_alpha(alpha)
     # ldexp(h0, -k) is h0 / 2**k, without overflowing 2.0**k for huge k
-    method_grid(named, method, alpha, tau, math.ldexp(h0, 1 - levels))
+    finest = math.ldexp(h0, 1 - levels)
+    if not finest > 0.0:  # h0 not positive, or halved below the float range
+        raise GridError(
+            f"{levels} levels of halving leave no positive step from h0 = {h0!r}"
+        )
+    method_grid(named, method, alpha, tau, finest)
     pairs = []
     for level in range(levels):
         h = h0 / 2.0**level

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, UniformGrid, make_grid
+from .core import Alpha, AlphaLike, UniformGrid, as_alpha, make_grid
 from .errors import BlowUpError, DomainError, GridError
 from .quadrature import _coefficient_block, coefficient_tables, product_scales
 
@@ -89,7 +89,8 @@ class InitialValueProblem:
     ``order == 1`` this is a plain first-order ODE.  :func:`solve_caputo_pc`
     reads the same problem with the Caputo derivative ``D_a`` in place of
     ``T_a``; an order in [1e-9, 1] lets the single initial value fix the
-    solution's Taylor head there too.
+    solution's Taylor head there too.  A float order is coerced to
+    :class:`~confrac.core.Alpha`, so an order out of range is refused here.
     """
 
     rhs: RightHandSide
@@ -98,6 +99,7 @@ class InitialValueProblem:
     order: Alpha
 
     def __post_init__(self):
+        object.__setattr__(self, "order", as_alpha(self.order))
         if not math.isfinite(self.y0):
             raise DomainError(f"initial value must be finite, got {self.y0!r}")
         if not self.horizon > 0.0:

@@ -631,6 +631,11 @@ def test_subcommand_flags_and_help_are_pinned():
       "--format", ""], "format must be csv or svg, got ''"),
     (["convergence", "--method", "conformable", "--alpha", "1e-310", "--h0", "0.1",
       "--levels", "3"], f"{FLOOR_MESSAGE}, got 1e-310"),
+    (["convergence", "--method", "conformable", "--alpha", "0.5", "--h0", "0.1",
+      "--levels", "1000000000"],
+     "1000000000 levels of halving leave no positive step from h0 = 0.1"),
+    (["convergence", "--method", "conformable", "--alpha", "0.5", "--h0", "-0.1",
+      "--levels", "3"], "3 levels of halving leave no positive step from h0 = -0.1"),
 ])
 def test_option_error_messages(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"

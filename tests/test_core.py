@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import confrac as cf
@@ -68,6 +69,18 @@ def test_make_grid_rejects_degenerate_inputs(tau, h):
 def test_uniform_grid_rejects_a_step_that_is_not_positive_and_finite(step):
     with pytest.raises(GridError, match="step must be positive and finite"):
         cf.UniformGrid(step, 3)
+
+
+@pytest.mark.parametrize("node_count", [3.5, 2.0, "3", None])
+def test_uniform_grid_rejects_a_node_count_that_is_not_an_integer(node_count):
+    with pytest.raises(GridError, match="node count must be an integer"):
+        cf.UniformGrid(0.1, node_count)
+
+
+def test_uniform_grid_takes_numpy_integer_node_counts():
+    grid = cf.UniformGrid(0.1, np.int64(3))
+    assert grid == cf.UniformGrid(0.1, 3)
+    assert type(grid.node_count) is int and len(grid.nodes()) == 3
 
 
 def test_halving_preserves_commensurability():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import weakref
@@ -119,11 +120,42 @@ def test_exact_solutions_reject_negative_time():
 def test_exact_solutions_far_out_are_finite_or_refused(named):
     # a closed form past the float range raises DomainError, never
     # OverflowError or a non-finite value
-    try:
-        value = named.exact(1e3, 1.0)
-    except DomainError:
-        return
-    assert isinstance(value, float) and math.isfinite(value)
+    for t in (1e3, 1e200, 1.7976931348623157e308):
+        for a in (MIN_ORDER, 0.001, 0.5, 1.0):
+            try:
+                value = named.exact(t, a)
+            except DomainError:
+                continue
+            assert isinstance(value, float) and math.isfinite(value), (t, a)
+
+
+#: sha256 of each built-in's closed form at the 10,001 nodes of its default
+#: horizon at order 0.5, as float64 bytes
+_CLOSED_FORM_SHA256 = {
+    "expkernel": "a72ae460e2973a7d7d7fb68ce170a82f88577637ed4881eb454d8bc0abed9bf4",
+    "example1": "bd5b5bd8fa88809e0fcbf4f4d1a53020fc05feb062d682cc1458727445b7608f",
+    "example2": "b75a053276e20c279b90d915ec12f2086ac3685ae7a21292b0d7c2bdd600429d",
+    "example3": "23e05c9ac14311f6b1e4fc5e2c991789f6da8c08c7cd569199f205a75e69ed0b",
+}
+
+
+def test_closed_form_bits_and_overflow_messages_are_pinned():
+    digests = {}
+    for named in cf.builtin_problems():
+        tau = named.default_horizon(0.5)
+        column = problems._exact_column(
+            named.exact, cf.Alpha(0.5), make_grid(tau, tau / 10000))
+        digests[named.id] = hashlib.sha256(column.tobytes()).hexdigest()
+    assert digests == _CLOSED_FORM_SHA256
+    # each overflow names its own formula
+    for pid, t, a, message in (
+        ("expkernel", 2.0, 0.001, "exp(t**a / a) overflows at t = 2.0, order 0.001"),
+        ("example1", 1000.0, 0.5,
+         "exp(t**(a+1) / (a+1)) overflows at t = 1000.0, order 0.5"),
+    ):
+        with pytest.raises(DomainError) as raised:
+            cf.get_problem(pid).exact(t, a)
+        assert str(raised.value) == message
 
 
 def test_solve_named_dispatch():

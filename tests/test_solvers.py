@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import confrac as cf
-from confrac.errors import BlowUpError, DomainError, GridError
+from confrac.errors import AlphaRangeError, BlowUpError, DomainError, GridError
 
 
 def _ivp(rhs, y0, horizon, order):
@@ -653,6 +653,12 @@ def test_problem_validation():
         _ivp(lambda t, y: y, math.nan, 1.0, 0.5)
     with pytest.raises(DomainError):
         _ivp(lambda t, y: y, 1.0, -2.0, 0.5)
+    # a float order is coerced to Alpha, and refused out of range
+    problem = cf.InitialValueProblem(lambda t, y: y, 1.0, 1.0, 0.5)
+    assert problem.order == cf.Alpha(0.5)
+    assert cf.solve_caputo_pc(problem, 0.25).values.shape == (5,)
+    with pytest.raises(AlphaRangeError):
+        cf.InitialValueProblem(lambda t, y: y, 1.0, 1.0, 2.0)
 
 
 def test_trace_validation():
