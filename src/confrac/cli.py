@@ -20,12 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MIN_ORDER, UniformGrid, as_alpha
+from .core import MIN_ORDER, UniformGrid, _node_blocks, as_alpha
 from .errors import BlowUpError, ConfracError
 from .problems import (
     METHODS,
     _exact_column,
-    _node_blocks,
     builtin_problems,
     get_problem,
     halving_orders,
@@ -141,7 +140,7 @@ def write_svg(
     circles, matching the sparse-marker figure style.  Markers and axes
     are computed first; the polyline's node times and pixels are then
     computed and written one block of nodes at a time
-    (:func:`~confrac.problems._node_blocks`), so no array, list or string
+    (:func:`~confrac.core._node_blocks`), so no array, list or string
     as long as the grid is built.
     """
     marker_ys = [y for _, y in markers]

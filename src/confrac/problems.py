@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GRID_RTOL, Alpha, AlphaLike, UniformGrid, as_alpha
+from .core import (GRID_RTOL, Alpha, AlphaLike, UniformGrid, _node_blocks,
+                   as_alpha, as_count)
 from .errors import DomainError, GridError, OrderUndefinedError
 from .solvers import (
     InitialValueProblem,
@@ -35,13 +36,6 @@ REL_ERROR_FLOOR = 1e-300
 
 #: solver identifiers accepted by :func:`solve_named`
 METHODS = ("classical", "conformable", "caputo")
-
-#: nodes per block of the CLI layer: the slices of node times that
-#: :func:`_node_blocks` yields, which are also the closed-form slices, the
-#: CSV blocks and the SVG polyline chunks.  A 100,001-node CSV child peaked
-#: at 31.1 MB max-RSS with blocks of 1,024, 31.2-31.5 MB with 2,048 and
-#: 32.6-32.7 MB with 4,096, at the same write time
-_CHUNK = 1024
 
 
 def example2_domain_limit(alpha: AlphaLike) -> float:
@@ -257,18 +251,6 @@ def method_grid(
     return solver_grid(method, alpha, named._checked_horizon(alpha, horizon), h)
 
 
-def _node_blocks(grid: UniformGrid):
-    """``(lo, times)`` for each block of at most ``_CHUNK`` nodes of ``grid``.
-
-    ``times`` holds the times of the block's nodes, starting at node
-    ``lo``: ``grid.step * j`` on float64, the bits of ``grid.nodes()`` and
-    ``grid.node(j)``.  No array as long as the grid is built.
-    """
-    for lo in range(0, grid.node_count, _CHUNK):
-        hi = min(lo + _CHUNK, grid.node_count)
-        yield lo, grid.step * np.arange(lo, hi, dtype=float)
-
-
 def _exact_column(exact, alpha: Alpha, grid: UniformGrid) -> np.ndarray:
     """The closed form at every node of ``grid``.
 
@@ -325,6 +307,7 @@ def refinement_errors(
     is built first (:func:`method_grid`), so a ladder that ends past the
     method's node ceiling is rejected before any level is solved.
     """
+    levels = as_count(levels, "levels")
     if levels < 2:
         raise ValueError(f"refinement needs at least 2 levels, got {levels}")
     if named.exact is None:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_NODES, AlphaLike, as_alpha
+from .core import MAX_NODES, AlphaLike, as_alpha, as_count
 from .errors import DomainError, GridError
 
 #: index from which coefficients switch to the cancellation-free series
@@ -192,14 +192,17 @@ def coefficient_tables(
     filled from :func:`_coefficient_block` 4,096 indices at a time, so the
     series temporaries stay the size of one block and the tables cost
     their own 24 bytes per index.  Raises :class:`GridError`, before
-    allocating, unless ``n < MAX_NODES`` (at most one index per grid node).
+    allocating, unless ``n`` is an integer below ``MAX_NODES`` (one per node).
     """
+    n = as_count(n, "panel index")
     if n < 0:
         raise ValueError(f"panel index must be non-negative, got {n}")
     if n >= MAX_NODES:
         raise GridError(f"panel index must be below {MAX_NODES}, got {n}")
     a = as_alpha(alpha).value
     rect, trap, tail = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    # not core.BLOCK: blocks of 1,024 give the same bits, slower (0.243 s
+    # against 0.221 s at 10**6 indices, medians of 5 on a 2-core x86 machine)
     for lo in range(0, n + 1, 4096):
         hi = min(lo + 4096, n + 1)
         rect[lo:hi], trap[lo:hi], tail[lo:hi] = _coefficient_block(lo, hi, a)

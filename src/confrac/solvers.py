@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Alpha, AlphaLike, UniformGrid, as_alpha, make_grid
+from .core import Alpha, AlphaLike, UniformGrid, _blocks, as_alpha, make_grid
 from .errors import BlowUpError, DomainError, GridError
 from .quadrature import _coefficient_block, coefficient_tables, product_scales
 
@@ -65,18 +65,8 @@ _NODE_CEILINGS = {
     "direct": (DIRECT_MAX_NODES, "the direct conformable solver"),
 }
 
-#: steps per block of the conformable solver, the CLI's output chunk
-#: length: each block builds its own coefficients and gathers its values
-#: and predictors in two lists written out once, so its memory does not
-#: grow with the grid; a trace checks its values in blocks of it too.
-#: Under tracemalloc a 200,001-node solve peaks 0.20 MiB above its 16
-#: bytes per node (0.63 MiB with blocks of 4,096 stored step by step), and
-#: a 100,001-node solve takes 65.6 ms against 64.5 ms (medians of 15
-#: alternating runs on a shared 2-core x86 machine)
-_BLOCK = 1024
-
 # steps per leaf of the Caputo history sums, and nodes per chunk of their
-# far field
+# far field: the FFT layout, and so the frozen Caputo digests, rest on them
 _LEAF = 1024
 _CHUNK = 2 * _LEAF
 
@@ -128,8 +118,8 @@ class SolutionTrace:
         # a block at a time, so no n-byte mask is built; min and max
         # build none either, but their first call pages in 64 KB of
         # numpy's reduction code
-        if not all(np.isfinite(values[lo:lo + _BLOCK]).all()
-                   for lo in range(0, values.size, _BLOCK)):
+        if not all(np.isfinite(values[lo:hi]).all()
+                   for lo, hi in _blocks(0, values.size)):
             raise ValueError("trace contains non-finite values")
         object.__setattr__(self, "values", values)
         preds = np.asarray(self.predictors, dtype=float)
@@ -230,11 +220,11 @@ def solve_conformable_pc(problem: InitialValueProblem, h: float) -> SolutionTrac
     The slope added to both sums is evaluated at the corrected value, so
     predictor and corrector share one history.
 
-    The steps run in blocks of ``_BLOCK``: each block builds its own scaled
-    coefficients, and its values and predictors go into two lists written
-    out once per block, so besides ``values`` and ``predictors`` nothing
-    grows with the grid.  Within a block, steps run in one loop with no
-    call per step besides the right-hand side and two list appends.
+    The steps run in blocks of ``core.BLOCK``: each block builds its own
+    scaled coefficients, and its values and predictors go into two lists
+    written out once per block, so besides ``values`` and ``predictors``
+    nothing grows with the grid.  Within a block, steps run in one loop
+    with no call per step besides the right-hand side and two list appends.
     """
     def march(grid, values, predictors):
         a = problem.order.value
@@ -245,8 +235,7 @@ def solve_conformable_pc(problem: InitialValueProblem, h: float) -> SolutionTrac
         accumulator = y0 + cte1 * f0
         history = y0 + cte2 * f0
         limit = BLOWUP_LIMIT
-        for lo in range(1, grid.node_count, _BLOCK):
-            hi = min(lo + _BLOCK, grid.node_count)
+        for lo, hi in _blocks(1, grid.node_count):
             # step j takes rectangle and trapezoid entry j and closing
             # entry j - 1
             rect, trap, tail = _coefficient_block(lo - 1, hi, a)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confrac import cli, problems
+from confrac import cli, core, problems
 from confrac.core import UniformGrid
 
 
@@ -334,7 +334,7 @@ def test_outputs_are_byte_stable(tmp_path):
 @pytest.mark.parametrize("command", [
     "solve-csv", "solve-svg", "compare", "convergence"])
 def test_chunk_length_does_not_change_bytes(command, tmp_path, monkeypatch):
-    # 2,001 nodes: two chunks by default, 286 chunks of 7
+    # 2,001 nodes: two blocks by default, 286 blocks of 7
     command, _, fmt = command.partition("-")
     args = [command, "--problem", "example1", "--alpha", "0.5", "--tau", "2"]
     if command == "solve":
@@ -342,14 +342,14 @@ def test_chunk_length_does_not_change_bytes(command, tmp_path, monkeypatch):
     elif command == "compare":
         args += ["--h", "0.001", "--methods", "conformable,caputo"]
     else:
-        # 9 rows, more than one chunk of 7 (the table is one CSV block)
+        # 9 rows, more than one block of 7 (the table is one CSV block)
         args += ["--method", "conformable", "--h0", "0.04", "--levels", "9"]
     outputs = []
-    for chunk in (problems._CHUNK, 7):
-        # node-time blocks: the closed-form slices, the CSV blocks and the
-        # SVG polyline chunks
-        monkeypatch.setattr(problems, "_CHUNK", chunk)
-        out = tmp_path / f"{chunk}.out"
+    for block in (core.BLOCK, 7):
+        # every blocked pass: the conformable steps, the trace check, the
+        # closed-form slices, the CSV blocks and the SVG polyline chunks
+        monkeypatch.setattr(core, "BLOCK", block)
+        out = tmp_path / f"{block}.out"
         assert run_cli(*args, "--output", str(out)) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]

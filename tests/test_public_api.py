@@ -210,6 +210,11 @@ def test_size_parameters_are_refused_past_their_bound_before_work(
     monkeypatch.setattr(cf.solvers, "_coefficient_block", _first_work)
     with pytest.raises(cf.GridError):
         call(past)
+    if parameter in ("n", "levels", "node_count"):
+        # a count must be an integer; a numpy one is taken like an int
+        with pytest.raises(cf.GridError, match="must be an integer, got 2.5"):
+            call(2.5)
+        bound = np.int64(bound)
     # the bound itself passes every check: the call reaches its first
     # allocation or function call, or returns when it has none
     try:

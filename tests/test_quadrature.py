@@ -172,8 +172,8 @@ def test_coefficient_tables_match_scalar_functions(a):
         assert np.array_equal(table, [scalar(j, a) for j in indices])
 
 
-#: block edges around the series switchover (128), the conformable
-#: solver's block length (1,024) and the block length of
+#: block edges around the series switchover (128), ``core.BLOCK`` (1,024,
+#: the conformable solver's blocks) and the block length of
 #: coefficient_tables (4,096)
 _BLOCK_EDGES = (0, 1, 127, 128, 129, 1023, 1024, 1025, 2049,
                 4095, 4096, 4097, 8193)

@@ -102,7 +102,7 @@ def test_conformable_blocks_match_direct_summation(monkeypatch):
     problem = _ivp(lambda t, y: t * y, 1.0, 1.25, 0.5)
     h = 1e-4
     fast = cf.solve_conformable_pc(problem, h)
-    assert fast.grid.node_count > 3 * cf.solvers._BLOCK + 1
+    assert fast.grid.node_count > 3 * cf.core.BLOCK + 1
     slow = cf.solve_conformable_pc_direct(problem, h)
     for ours, reference in ((fast.values, slow.values),
                             (fast.predictors, slow.predictors)):
@@ -110,7 +110,7 @@ def test_conformable_blocks_match_direct_summation(monkeypatch):
         assert float(rel.max()) < 1e-12
     # the block length changes no bit
     for block in (7, 10**7):
-        monkeypatch.setattr(cf.solvers, "_BLOCK", block)
+        monkeypatch.setattr(cf.core, "BLOCK", block)
         other = cf.solve_conformable_pc(problem, h)
         assert np.array_equal(other.values, fast.values)
         assert np.array_equal(other.predictors, fast.predictors)
@@ -519,7 +519,7 @@ def test_conformable_blow_up_past_first_block_reports_location():
             solver(problem, h)
         reports.append(info.value)
     fast, direct = reports
-    assert fast.step_index > cf.solvers._BLOCK + 1
+    assert fast.step_index > cf.core.BLOCK + 1
     assert (fast.step_index, fast.t) == (direct.step_index, direct.t)
     assert fast.t == fast.step_index * h
     # the two routes sum the history in a different order
@@ -609,7 +609,7 @@ def test_blow_up_guard_parity(y0, bad, monkeypatch):
             (cf.solve_classical_pc,
              dataclasses.replace(problem, order=cf.Alpha(1.0)))]
     for block in (2, 3, 4096):
-        monkeypatch.setattr(cf.solvers, "_BLOCK", block)
+        monkeypatch.setattr(cf.core, "BLOCK", block)
         reports = []
         for solve, run in runs:
             with pytest.raises(BlowUpError) as info:
