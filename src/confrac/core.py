@@ -68,30 +68,34 @@ def as_alpha(alpha: AlphaLike) -> Alpha:
     return alpha if isinstance(alpha, Alpha) else Alpha(alpha)
 
 
-def as_count(value, name: str) -> int:
+def as_count(value, name: str, least: int = 0) -> int:
     """``value`` as an ``int`` if ``operator.index`` takes it (numpy integers
-    do); otherwise :class:`GridError` naming the count ``name``."""
+    do) and at least ``least``; otherwise :class:`GridError` naming the count
+    ``name``.  The one home of every count's integer check and floor."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise GridError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise GridError(f"{name} must be at least {least}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
 class UniformGrid:
     """Nodes ``t_j = j * step`` for ``j = 0 .. node_count - 1``.
 
-    Holds at most ``MAX_NODES`` nodes, a whole number of them (any integer
-    ``operator.index`` accepts); the step is positive and finite.
+    Holds 2 to ``MAX_NODES`` nodes (any integer ``operator.index`` takes);
+    the step is positive and finite.  The one home of the step rule: every
+    solver and ``integrate_trapezoid`` step with the checked ``step``.
     """
 
     step: float
     node_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "node_count", as_count(self.node_count, "node count"))
-        if self.node_count < 2:
-            raise GridError(f"grid needs at least two nodes, got {self.node_count}")
+        object.__setattr__(self, "node_count",
+                           as_count(self.node_count, "node count", 2))
         if self.node_count > MAX_NODES:
             raise GridError(
                 f"grid holds at most {MAX_NODES} nodes, got {self.node_count}"
@@ -202,8 +206,6 @@ def conformable_integral_numeric(
     from .quadrature import integrate_trapezoid
 
     n = as_count(n, "panel parameter")
-    if n < 0:
-        raise ValueError(f"panel parameter must be non-negative, got {n}")
     grid = make_grid(tau, float(tau) / (n + 1))
     samples = [g(grid.node(j)) for j in range(grid.node_count)]
     return integrate_trapezoid(samples, grid.step, alpha)

@@ -307,9 +307,7 @@ def refinement_errors(
     is built first (:func:`method_grid`), so a ladder that ends past the
     method's node ceiling is rejected before any level is solved.
     """
-    levels = as_count(levels, "levels")
-    if levels < 2:
-        raise ValueError(f"refinement needs at least 2 levels, got {levels}")
+    levels = as_count(levels, "levels", 2)
     if named.exact is None:
         raise ValueError(f"problem {named.id!r} has no exact solution")
     alpha = as_alpha(alpha)
@@ -322,7 +320,7 @@ def refinement_errors(
     method_grid(named, method, alpha, tau, finest)
     pairs = []
     for level in range(levels):
-        h = h0 / 2.0**level
+        h = math.ldexp(h0, -level)
         trace = solve_named(named, method, alpha, h, tau)
         endpoint_t = trace.grid.node(trace.grid.node_count - 1)
         err = abs(trace.endpoint - named.exact(endpoint_t, alpha))

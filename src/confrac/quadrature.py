@@ -30,13 +30,12 @@ so no cancellation occurs anywhere.
 
 from __future__ import annotations
 
-import math
 from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
-from .core import MAX_NODES, AlphaLike, as_alpha, as_count
+from .core import MAX_NODES, AlphaLike, UniformGrid, as_alpha, as_count
 from .errors import DomainError, GridError
 
 #: index from which coefficients switch to the cancellation-free series
@@ -104,8 +103,7 @@ def rectangle_coefficient(j: int, alpha: AlphaLike) -> float:
     j = 1e3, 6.4e-13 at 1e5, 9.3e-11 at 1e6 and 1.6e-9 at 1e7 - 1.  The
     ``expm1``/``log1p`` form would avoid this; it is not used yet.
     """
-    if j < 0:
-        raise ValueError(f"coefficient index must be non-negative, got {j}")
+    j = as_count(j, "coefficient index")
     a = as_alpha(alpha).value
     return (j + 1.0) ** a - float(j) ** a
 
@@ -116,8 +114,7 @@ def trapezoid_coefficient(j: int, alpha: AlphaLike) -> float:
     Equals ``(j-1)**(a+1) - 2*j**(a+1) + (j+1)**(a+1)`` with the power at
     index -1 read as 0, so entry 0 is exactly ``0 - 0 + 1 = 1``.
     """
-    if j < 0:
-        raise ValueError(f"coefficient index must be non-negative, got {j}")
+    j = as_count(j, "coefficient index")
     a = as_alpha(alpha).value
     beta = a + 1.0
     if j < _SERIES_CUTOFF or beta == 2.0:
@@ -135,8 +132,7 @@ def trapezoid_tail_coefficient(n: int, alpha: AlphaLike) -> float:
     reduces to a.  The same quantity is the weight the reflected-kernel
     (Caputo) trapezoid rule assigns to its first node.
     """
-    if n < 0:
-        raise ValueError(f"panel index must be non-negative, got {n}")
+    n = as_count(n, "panel index")
     a = as_alpha(alpha).value
     beta = a + 1.0
     m = n + 1.0
@@ -192,11 +188,9 @@ def coefficient_tables(
     filled from :func:`_coefficient_block` 4,096 indices at a time, so the
     series temporaries stay the size of one block and the tables cost
     their own 24 bytes per index.  Raises :class:`GridError`, before
-    allocating, unless ``n`` is an integer below ``MAX_NODES`` (one per node).
+    allocating, unless ``n`` is an integer in 0 .. ``MAX_NODES`` - 1 (one per node).
     """
     n = as_count(n, "panel index")
-    if n < 0:
-        raise ValueError(f"panel index must be non-negative, got {n}")
     if n >= MAX_NODES:
         raise GridError(f"panel index must be below {MAX_NODES}, got {n}")
     a = as_alpha(alpha).value
@@ -213,10 +207,9 @@ def product_scales(a: float, h: float) -> tuple[float, float]:
     """Rectangle scale ``h**a / a`` and trapezoid scale ``h**a / (a * (a + 1))``.
 
     The trapezoid scale is computed as the rectangle scale over ``a + 1``;
-    the solvers' outputs are pinned bit for bit to that rounding.
+    the solvers' outputs are pinned bit for bit to that rounding.  ``h`` is
+    a grid's ``step``, checked by :class:`~confrac.core.UniformGrid`.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"step must be positive and finite, got {h!r}")
     rect = h**a / a
     return rect, rect / (a + 1.0)
 
@@ -236,14 +229,16 @@ def trapezoid_weights(n: int, alpha: AlphaLike) -> np.ndarray:
 def integrate_trapezoid(samples: Sequence[float], h: float, alpha: AlphaLike) -> float:
     """Trapezoid-rule value of ``integral x**(a-1) g``, g sampled at nodes 0 .. n+1.
 
-    ``samples[j]`` is g at node j*h.  Needs at least two finite samples (one
-    panel).  Exact whenever g is linear.
+    ``samples[j]`` is g at node j*h; they must be finite.  The grid
+    ``UniformGrid(float(h), len(samples))`` refuses the step and the sample
+    count, as it does a solver's.  Exact whenever g is linear.
     """
     arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim != 1:
         raise ValueError("samples must form a 1-d sequence of at least two, "
                          "one per node")
+    grid = UniformGrid(float(h), arr.size)
     if not np.all(np.isfinite(arr)):
         raise DomainError("integrand produced a non-finite sample")
-    _, scale = product_scales(as_alpha(alpha).value, float(h))
-    return scale * float(np.dot(trapezoid_weights(arr.size - 2, alpha), arr))
+    _, scale = product_scales(as_alpha(alpha).value, grid.step)
+    return scale * float(np.dot(trapezoid_weights(grid.panel_count - 1, alpha), arr))

@@ -189,7 +189,7 @@ def solve_classical_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
     :func:`solve_conformable_pc`.
     """
     def march(grid, values, predictors):
-        rhs, y, step_size = problem.rhs, problem.y0, h
+        rhs, y, step_size = problem.rhs, problem.y0, grid.step
         limit = BLOWUP_LIMIT
         for step in range(1, grid.node_count):
             t_prev = grid.node(step - 1)
@@ -367,8 +367,8 @@ def solve_caputo_pc(problem: InitialValueProblem, h: float) -> SolutionTrace:
         leaf = np.empty(span)
         recent = [leaf[:k] for k in range(span + 1)]
         # a + 1 and a + 2 lie in [1, 3], where math.gamma is finite
-        predictor_scale = h**a / math.gamma(a + 1.0)
-        corrector_scale = h**a / math.gamma(a + 2.0)
+        predictor_scale = step_size**a / math.gamma(a + 1.0)
+        corrector_scale = step_size**a / math.gamma(a + 2.0)
         leaf[0] = f0
         # chunk 0's far field: node n takes closing entry n - 1 times f0
         chunk_p = np.zeros(closing.shape[0])

@@ -570,6 +570,21 @@ def test_blow_up_exit_code(tmp_path, capsys):
     assert "blew up at step" in capsys.readouterr().err
 
 
+class _BrokenPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_io_failure_exit_code(monkeypatch, capsys):
+    # stdout is put back before capsys reads, whatever the fixture order
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", _BrokenPipe())
+        assert run_cli("list") == 2
+    assert capsys.readouterr().err == "confrac: i/o failure: [Errno 32] Broken pipe\n"
+
+
 # ---------------------------------------------------------------- option table
 
 _SHARED_FLAGS = {

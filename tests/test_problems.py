@@ -251,6 +251,16 @@ def test_refinement_errors_validation():
         cf.refinement_errors(bare, "conformable", 0.5, 2.0, 0.04, 3)
 
 
+def test_refinement_steps_are_floats_halved_exactly():
+    # level k steps with ldexp(h0, -k), a float whatever float type h0 has
+    named = cf.get_problem("example1")
+    narrow = cf.refinement_errors(named, "caputo", 0.5, 2.0, np.float32(0.25), 3)
+    wide = cf.refinement_errors(named, "caputo", 0.5, 2.0, 0.25, 3)
+    assert [type(h) for h, _ in narrow] == [float] * 3
+    assert narrow == wide
+    assert [h for h, _ in wide] == [0.25, 0.125, 0.0625]
+
+
 def test_refinement_rejects_oversized_ladder_before_solving():
     calls = []
 

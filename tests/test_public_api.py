@@ -185,6 +185,9 @@ _SIZE_CASES = [
                              ("empirical_order", cf.empirical_order))),
 ]
 
+# what a count's refusal calls it
+_COUNT_NAMES = "^(node count|panel index|panel parameter|levels)"
+
 # parameters with a size-like name that set no size: the work does not
 # grow with them
 _NOT_SIZES = {
@@ -214,6 +217,11 @@ def test_size_parameters_are_refused_past_their_bound_before_work(
         # a count must be an integer; a numpy one is taken like an int
         with pytest.raises(cf.GridError, match="must be an integer, got 2.5"):
             call(2.5)
+        # and at least its floor: 0 for an index, 2 for nodes and levels
+        floor = 0 if parameter == "n" else 2
+        message = f"{_COUNT_NAMES} must be at least {floor}, got {floor - 1}$"
+        with pytest.raises(cf.GridError, match=message):
+            call(floor - 1)
         bound = np.int64(bound)
     # the bound itself passes every check: the call reaches its first
     # allocation or function call, or returns when it has none

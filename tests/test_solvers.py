@@ -710,6 +710,30 @@ def test_traces_are_deterministic():
     assert np.array_equal(first.predictors, second.predictors)
 
 
+_EXAMPLE1 = cf.get_problem("example1")
+
+# every solver on example1 over [0, 2], as a function of its step
+_STEP_RUNS = {
+    "classical": lambda h: cf.solve_classical_pc(_EXAMPLE1.problem(1.0, 2.0), h),
+    "conformable": lambda h: cf.solve_conformable_pc(_EXAMPLE1.problem(0.5, 2.0), h),
+    "direct": lambda h: cf.solve_conformable_pc_direct(
+        _EXAMPLE1.problem(0.5, 2.0), h),
+    "caputo": lambda h: cf.solve_caputo_pc(_EXAMPLE1.problem(0.5, 2.0), h),
+    **{f"named-{method}": lambda h, method=method: cf.solve_named(
+        _EXAMPLE1, method, 1.0 if method == "classical" else 0.5, h, 2.0)
+       for method in ("classical", "conformable", "caputo")},
+}
+
+
+@pytest.mark.parametrize("run", _STEP_RUNS.values(), ids=_STEP_RUNS)
+def test_solvers_step_with_the_grid_step(run):
+    # np.float32(0.125) holds the float 0.125; a solver that steps with
+    # its grid's float step gives the same bits for both
+    narrow, wide = run(np.float32(0.125)), run(0.125)
+    assert narrow.values.tobytes() == wide.values.tobytes()
+    assert narrow.predictors.tobytes() == wide.predictors.tobytes()
+
+
 def test_trace_metadata():
     problem = _ivp(lambda t, y: t * y, 1.0, 2.0, 0.5)
     trace = cf.solve_conformable_pc(problem, 0.01)
