@@ -68,26 +68,35 @@ def as_alpha(alpha: AlphaLike) -> Alpha:
     return alpha if isinstance(alpha, Alpha) else Alpha(alpha)
 
 
-def as_count(value, name: str, least: int = 0) -> int:
+def as_count(value, name: str, least: int = 0, most: float = math.inf) -> int:
     """``value`` as an ``int`` if ``operator.index`` takes it (numpy integers
-    do) and at least ``least``; otherwise :class:`GridError` naming the count
-    ``name``.  The one home of every count's integer check and floor."""
+    do) and it lies in ``least`` .. ``most``; otherwise :class:`GridError` naming
+    the count ``name``.  The one home of every count's type, floor and ceiling."""
     try:
         count = operator.index(value)
     except TypeError:
         raise GridError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise GridError(f"{name} must be at least {least}, got {count}")
+    if not least <= count <= most:
+        bound = f"at least {least}" if count < least else f"at most {most}"
+        raise GridError(f"{name} must be {bound}, got {count}")
     return count
+
+
+def as_step(value) -> float:
+    """``value`` as a ``float`` if it is a positive number and its float is
+    positive and finite; otherwise :class:`GridError`.  The step rule's one home."""
+    if 0.0 < value and 0.0 < (step := float(value)) < math.inf:
+        return step
+    raise GridError(f"step must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class UniformGrid:
     """Nodes ``t_j = j * step`` for ``j = 0 .. node_count - 1``.
 
-    Holds 2 to ``MAX_NODES`` nodes (any integer ``operator.index`` takes);
-    the step is positive and finite.  The one home of the step rule: every
-    solver and ``integrate_trapezoid`` step with the checked ``step``.
+    Holds 2 to ``MAX_NODES`` nodes (:func:`as_count`) and a step stored as a
+    ``float`` (:func:`as_step`), so every route to a node gives the same bits.
+    Every solver and ``integrate_trapezoid`` step with the checked ``step``.
     """
 
     step: float
@@ -95,13 +104,8 @@ class UniformGrid:
 
     def __post_init__(self):
         object.__setattr__(self, "node_count",
-                           as_count(self.node_count, "node count", 2))
-        if self.node_count > MAX_NODES:
-            raise GridError(
-                f"grid holds at most {MAX_NODES} nodes, got {self.node_count}"
-            )
-        if not 0.0 < self.step < math.inf:
-            raise GridError(f"step must be positive and finite, got {self.step!r}")
+                           as_count(self.node_count, "node count", 2, MAX_NODES))
+        object.__setattr__(self, "step", as_step(self.step))
 
     @property
     def panel_count(self) -> int:
@@ -137,22 +141,20 @@ def _node_blocks(grid: UniformGrid):
 def make_grid(tau: float, h: float) -> UniformGrid:
     """Build the uniform grid covering [0, tau] with step h.
 
-    Raises :class:`GridError` unless h divides tau to within a relative
-    slack of ``GRID_RTOL`` (an integer panel count must reproduce tau), or
-    when the grid would have more than ``MAX_NODES`` nodes.
+    Raises :class:`GridError` for tau <= 0 or a step :func:`as_step` refuses,
+    and, naming h, unless h divides tau into at most ``MAX_NODES`` nodes to
+    within a relative slack of ``GRID_RTOL`` (a whole panel count gives tau).
     """
     tau = float(tau)
-    h = float(h)
     if not tau > 0.0:
         raise GridError(f"horizon must be positive, got {tau!r}")
-    if not h > 0.0:
-        raise GridError(f"step must be positive, got {h!r}")
+    h = as_step(float(h))
     ratio = tau / h
-    # round() to at most MAX_NODES - 1 panels; also false for inf and NaN
+    # round() to at most MAX_NODES - 1 panels; also false for an infinite ratio
     if not ratio < MAX_NODES - 0.5:
         raise GridError(f"step {h!r} gives more than {MAX_NODES} nodes on [0, {tau!r}]")
     panels = round(ratio)
-    if panels < 1 or abs(panels * h - tau) > GRID_RTOL * tau:
+    if abs(panels * h - tau) > GRID_RTOL * tau:
         raise GridError(
             f"step {h!r} does not divide horizon {tau!r} into a whole "
             f"number of panels"

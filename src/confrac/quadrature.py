@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import MAX_NODES, AlphaLike, UniformGrid, as_alpha, as_count
-from .errors import DomainError, GridError
+from .errors import DomainError
 
 #: index from which coefficients switch to the cancellation-free series
 _SERIES_CUTOFF = 128
@@ -187,12 +187,10 @@ def coefficient_tables(
     ``trapezoid_tail_coefficient(j, alpha)`` bit for bit.  The arrays are
     filled from :func:`_coefficient_block` 4,096 indices at a time, so the
     series temporaries stay the size of one block and the tables cost
-    their own 24 bytes per index.  Raises :class:`GridError`, before
+    their own 24 bytes per index.  ``as_count`` raises :class:`GridError`, before
     allocating, unless ``n`` is an integer in 0 .. ``MAX_NODES`` - 1 (one per node).
     """
-    n = as_count(n, "panel index")
-    if n >= MAX_NODES:
-        raise GridError(f"panel index must be below {MAX_NODES}, got {n}")
+    n = as_count(n, "panel index", most=MAX_NODES - 1)
     a = as_alpha(alpha).value
     rect, trap, tail = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     # not core.BLOCK: blocks of 1,024 give the same bits, slower (0.243 s

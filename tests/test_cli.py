@@ -651,6 +651,8 @@ def test_subcommand_flags_and_help_are_pinned():
      "1000000000 levels of halving leave no positive step from h0 = 0.1"),
     (["convergence", "--method", "conformable", "--alpha", "0.5", "--h0", "-0.1",
       "--levels", "3"], "3 levels of halving leave no positive step from h0 = -0.1"),
+    (["solve", "--method", "conformable", "--alpha", "0.5", "--h", "inf"],
+     "step must be positive and finite, got inf"),
 ])
 def test_option_error_messages(argv, message, tmp_path, capsys):
     out = tmp_path / "x.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import confrac as cf
-from confrac.core import MIN_ORDER, as_alpha
+from confrac.core import MIN_ORDER, _node_blocks, as_alpha
 from confrac.errors import AlphaRangeError, DomainError, GridError
 
 
@@ -65,10 +65,14 @@ def test_make_grid_rejects_degenerate_inputs(tau, h):
         cf.make_grid(tau, h)
 
 
-@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+# the last, 2**-1100, is positive as an x87 long double but 0.0 as a float
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan,
+                                  np.ldexp(np.longdouble(1.0), -1100)])
 def test_uniform_grid_rejects_a_step_that_is_not_positive_and_finite(step):
     with pytest.raises(GridError, match="step must be positive and finite"):
         cf.UniformGrid(step, 3)
+    with pytest.raises(GridError, match="step must be positive and finite"):
+        cf.make_grid(1.0, step)
 
 
 @pytest.mark.parametrize("node_count", [3.5, 2.0, "3", None])
@@ -81,6 +85,15 @@ def test_uniform_grid_takes_numpy_integer_node_counts():
     grid = cf.UniformGrid(0.1, np.int64(3))
     assert grid == cf.UniformGrid(0.1, 3)
     assert type(grid.node_count) is int and len(grid.nodes()) == 3
+
+
+@pytest.mark.parametrize("step,node_count", [(np.float32(0.1), 5), (True, 3)])
+def test_uniform_grid_stores_its_step_as_a_float(step, node_count):
+    grid = cf.UniformGrid(step, node_count)
+    assert type(grid.step) is float and grid.step == float(step)
+    times = np.concatenate([block for _, block in _node_blocks(grid)])
+    for j in range(node_count):
+        assert grid.node(j).hex() == grid.nodes()[j].hex() == times[j].hex()
 
 
 def test_halving_preserves_commensurability():

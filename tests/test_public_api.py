@@ -188,6 +188,11 @@ _SIZE_CASES = [
 # what a count's refusal calls it
 _COUNT_NAMES = "^(node count|panel index|panel parameter|levels)"
 
+# counts whose ceiling ``core.as_count`` checks; the others are refused by
+# the grid their step implies, with a message naming the step
+_COUNT_CEILINGS = {"UniformGrid", "caputo_weights", "rectangle_weights",
+                   "trapezoid_weights"}
+
 # parameters with a size-like name that set no size: the work does not
 # grow with them
 _NOT_SIZES = {
@@ -211,7 +216,9 @@ def test_size_parameters_are_refused_past_their_bound_before_work(
     monkeypatch.setattr(np, "empty", _first_work)
     monkeypatch.setattr(cf.quadrature, "_coefficient_block", _first_work)
     monkeypatch.setattr(cf.solvers, "_coefficient_block", _first_work)
-    with pytest.raises(cf.GridError):
+    ceiling = (f"^(node count|panel index) must be at most {bound}, got {past}$"
+               if name in _COUNT_CEILINGS else None)
+    with pytest.raises(cf.GridError, match=ceiling):
         call(past)
     if parameter in ("n", "levels", "node_count"):
         # a count must be an integer; a numpy one is taken like an int
